@@ -11,24 +11,17 @@ the higher-order obstruction values that rule those curves out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .central import (
-    CentralConfiguration,
-    masses_from_rho,
-    moulton_solve,
-    normalize_cc,
-    positivity_interval,
-)
+from .central import CentralConfiguration, moulton_solve, normalize_cc
 from .errors import AbsoluteEquilibriumError, InvalidKError, SingularRhoError
 from .potential import Configuration, MassVector, hessian_w, third_contract
 from .sturm import count_real_roots, descartes_positive_bound
 
 __all__ = [
-    "AdmissibleSet",
     "SpectrumReport",
     "ExceptionalPoint",
     "admissible_values",
@@ -72,24 +65,6 @@ def admissible_index(value: float, tol: float = _MATCH_TOL):
         if abs((k - 1) * (k + 2) / 2.0 - value) <= tol:
             return k
     return None
-
-
-@dataclass
-class AdmissibleSet:
-    """Table of admissible eigenvalues up to a ceiling."""
-
-    ceiling: float = 200.0
-    values: list[int] = field(init=False)
-
-    def __post_init__(self):
-        self.values = admissible_values(self.ceiling)
-
-    def contains(self, value: float, tol: float = _MATCH_TOL) -> bool:
-        k = admissible_index(value, tol)
-        return k is not None and (k - 1) * (k + 2) // 2 <= self.ceiling
-
-    def index_of(self, value: float, tol: float = _MATCH_TOL):
-        return admissible_index(value, tol)
 
 
 @dataclass
@@ -138,6 +113,17 @@ def nontrivial_eigenvalue(s: float, rho: float) -> float:
                  / (den * quart))
 
 
+def _range_ends(rho):
+    """Limits of the nontrivial eigenvalue at both ends of the positivity
+    interval of s; rho may be a scalar or an array."""
+    quart = 1.0 + 2.0 * rho + rho**2 + 2.0 * rho**3 + rho**4
+    lo = 4.0 * (1.0 + rho) * rho**3 * (2.0 * rho**2 + 3.0 * rho + 2.0) / (
+        (1.0 + 2.0 * rho + rho**2) * quart
+    )
+    hi = 4.0 * (2.0 * rho**2 + 3.0 * rho + 2.0) * (1.0 + rho) ** 2 / quart
+    return lo, hi
+
+
 def eigenvalue_range(rho: float) -> tuple[float, float]:
     """Open range swept by the nontrivial eigenvalue over positive masses.
 
@@ -146,22 +132,13 @@ def eigenvalue_range(rho: float) -> tuple[float, float]:
     """
     if rho < 1.0:
         raise SingularRhoError("eigenvalue_range expects rho >= 1")
-    quart = 1.0 + 2.0 * rho + rho**2 + 2.0 * rho**3 + rho**4
-    lo = 4.0 * (1.0 + rho) * rho**3 * (2.0 * rho**2 + 3.0 * rho + 2.0) / (
-        (1.0 + 2.0 * rho + rho**2) * quart
-    )
-    hi = 4.0 * (2.0 * rho**2 + 3.0 * rho + 2.0) * (1.0 + rho) ** 2 / quart
+    lo, hi = _range_ends(rho)
     return float(lo), float(hi)
 
 
 def reachable_eigenvalues(rho_max: float = 100.0, samples: int = 10_000) -> set[int]:
     """Admissible values attained with positive masses for shapes in [1, rho_max]."""
-    rhos = np.linspace(1.0, rho_max, samples)
-    quart = 1.0 + 2.0 * rhos + rhos**2 + 2.0 * rhos**3 + rhos**4
-    lo = 4.0 * (1.0 + rhos) * rhos**3 * (2.0 * rhos**2 + 3.0 * rhos + 2.0) / (
-        (1.0 + 2.0 * rhos + rhos**2) * quart
-    )
-    hi = 4.0 * (2.0 * rhos**2 + 3.0 * rhos + 2.0) * (1.0 + rhos) ** 2 / quart
+    lo, hi = _range_ends(np.linspace(1.0, rho_max, samples))
     out = set()
     for v in admissible_values(float(hi.max()) + 1.0):
         if np.any((lo < v) & (v < hi)):
@@ -331,7 +308,8 @@ def planar_spectrum(masses, order=None) -> SpectrumReport:
     n = cc1.masses.n
     coords = np.zeros((n, 2))
     coords[:, 0] = cc1.config.coords[:, 0]
-    w = hessian_w(cc1.masses, Configuration(coords)).matrix
+    hw = hessian_w(cc1.masses, Configuration(coords))
+    w = hw.matrix
     xs = np.arange(n) * 2
     ys = xs + 1
     a = w[np.ix_(xs, xs)]
@@ -340,8 +318,7 @@ def planar_spectrum(masses, order=None) -> SpectrumReport:
         float(np.max(np.abs(w[np.ix_(ys, xs)]))),
         float(np.max(np.abs(w[np.ix_(ys, ys)] + 0.5 * a))),
     )
-    vals = hessian_w(cc1.masses, Configuration(coords)).spectrum()
-    return spectrum_report(vals, block_error=block_error)
+    return spectrum_report(hw.spectrum(), block_error=block_error)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ for some multiplier alpha (negative for positive masses with the attractive
 1/r potential).  Normalization rescales masses to total 1, translates the
 center of mass to the origin and dilates so that alpha = -1.
 
-The 3-body family is handled in the shape coordinates (-1, 0, rho); the
-4-body family at (-rho1, -1, 1, rho2) is an affine line of mass vectors.
+The 3-body family is handled in the shape coordinates (-1, 0, rho).  The
+4-body family at (-rho1, -1, 1, rho2) is an affine line of mass vectors, and
+this module owns it: the batched multiplier -1 line that the grid code in
+``fourbody`` runs on, the sum-1 line of the scalar API, and the closed-form
+map between the two.
 """
 
 from __future__ import annotations
@@ -332,49 +335,51 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
 # 4-body colinear family at (-rho1, -1, 1, rho2)
 
 
-def _config4(rho1: float, rho2: float) -> np.ndarray:
-    return np.array([-rho1, -1.0, 1.0, rho2])
+def _positions(rho1, rho2):
+    """Literal configurations (-rho1, -1, 1, rho2), one row per shape."""
+    r1 = np.atleast_1d(np.asarray(rho1, dtype=float))
+    r2 = np.atleast_1d(np.asarray(rho2, dtype=float))
+    pos = np.empty(r1.shape + (4,))
+    pos[..., 0] = -r1
+    pos[..., 1] = -1.0
+    pos[..., 2] = 1.0
+    pos[..., 3] = r2
+    return pos
 
 
-def _check_shape4(rho1: float, rho2: float):
-    if not (rho1 >= rho2 > 1.0):
-        raise ValueError("expected rho1 >= rho2 > 1")
+def _line_batch(rho1, rho2, max_cond=None):
+    """Mass lines with multiplier -1 at the literal configurations.
 
-
-def _kernel4(c: np.ndarray) -> np.ndarray:
-    """K[i, j] = (c_j - c_i) / |c_j - c_i|^3, zero diagonal."""
-    diff = c[None, :] - c[:, None]
-    k = np.zeros_like(diff)
-    off = ~np.eye(c.size, dtype=bool)
-    k[off] = diff[off] / np.abs(diff[off]) ** 3
-    return k
-
-
-def _solve_affine(mat: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray):
-    """Solutions for two right-hand sides; RankDeficiencyError if singular."""
-    if np.linalg.cond(mat) > 1e12:
-        raise RankDeficiencyError("central-configuration system is rank deficient")
-    sol = np.linalg.solve(mat, np.column_stack([rhs0, rhs1]))
-    return sol[:, 0], sol[:, 1] - sol[:, 0]
-
-
-def multiplier_fixed_line(rho1: float, rho2: float):
-    """Affine maps m3 -> (masses, center) with multiplier exactly -1.
-
-    The configuration is the literal (-rho1, -1, 1, rho2); masses are not
-    sum-normalized in this gauge.  Returns (m0, dm, g0, dg) with
-    masses(m3) = m0 + m3 * dm and center(m3) = g0 + m3 * dg.
+    Solves, for every shape in the batch, the 5x5 system in (m, -center) with
+    gauge m3 = t; returns (positions, inv3, m0, dm, tr0, dtr) where inv3 holds
+    the inverse cubed pair distances (zero diagonal), masses are m0 + t*dm and
+    the Hessian trace is tr0 + t*dtr.  With ``max_cond`` set, a system whose
+    condition number exceeds it raises RankDeficiencyError.
     """
-    _check_shape4(rho1, rho2)
-    c = _config4(rho1, rho2)
-    k = _kernel4(c)
-    mat = np.zeros((5, 5))
-    mat[:4, :4] = k
-    mat[:4, 4] = -1.0  # center column: K m - g = -c
-    mat[4, 2] = 1.0
-    x0, dx = _solve_affine(mat, np.concatenate([-c, [0.0]]),
-                           np.concatenate([-c, [1.0]]))
-    return x0[:4], dx[:4], x0[4], dx[4]
+    pos = _positions(rho1, rho2)
+    n = pos.shape[0]
+    diff = pos[:, None, :] - pos[:, :, None]        # [cell, i, j] = c_j - c_i
+    dist = np.abs(diff)
+    off = ~np.eye(4, dtype=bool)
+    inv3 = np.zeros_like(dist)
+    inv3[:, off] = dist[:, off] ** -3
+
+    a = np.zeros((n, 5, 5))
+    a[:, :4, :4] = diff * inv3
+    a[:, :4, 4] = 1.0
+    a[:, 4, 2] = 1.0
+    if max_cond is not None and np.any(np.linalg.cond(a) > max_cond):
+        raise RankDeficiencyError("central-configuration system is rank deficient")
+    rhs = np.zeros((n, 5, 2))
+    rhs[:, :4, 0] = -pos
+    rhs[:, 4, 1] = 1.0
+    sol = np.linalg.solve(a, rhs)
+    m0, dm = sol[:, :4, 0], sol[:, :4, 1]
+
+    pair_inv3 = 2.0 * inv3
+    tr0 = np.einsum("nij,nj->n", pair_inv3, m0)
+    dtr = np.einsum("nij,nj->n", pair_inv3, dm)
+    return pos, inv3, m0, dm, tr0, dtr
 
 
 @dataclass
@@ -400,30 +405,26 @@ class MassLine4:
 
     @property
     def configuration(self) -> Configuration:
-        return Configuration(_config4(self.rho1, self.rho2).reshape(-1, 1))
+        return Configuration(_positions(self.rho1, self.rho2)[0])
 
 
 def mass_line_4body(rho1: float, rho2: float) -> MassLine4:
     """Sum-normalized affine mass family with free multiplier.
 
-    Unknowns (m, alpha, beta) with beta = -alpha g solve the cc equations
-    K m = alpha c + beta at the fixed shape, plus sum(m) = 1 and m3 = t.
+    Rescaling each mass vector m0 + t*dm of the multiplier -1 line of
+    _line_batch to total 1 keeps the shape central and divides the multiplier
+    by the total.  With S(v) the sum of the entries of v, in closed form:
+    intercept = m0/S(m0), slope = dm - S(dm) m0/S(m0) and multiplier(m3) =
+    (-1 + m3 S(dm))/S(m0).  Raises RankDeficiencyError when the solve is
+    ill-conditioned (condition number above 1e12).
     """
-    _check_shape4(rho1, rho2)
-    c = _config4(rho1, rho2)
-    k = _kernel4(c)
-    mat = np.zeros((6, 6))
-    mat[:4, :4] = k
-    mat[:4, 4] = -c
-    mat[:4, 5] = -1.0
-    mat[4, :4] = 1.0
-    mat[5, 2] = 1.0
-    rhs0 = np.zeros(6)
-    rhs0[4] = 1.0
-    rhs1 = rhs0.copy()
-    rhs1[5] = 1.0
-    x0, dx = _solve_affine(mat, rhs0, rhs1)
-    return MassLine4(rho1, rho2, x0[:4], dx[:4], x0[4], dx[4])
+    if not (rho1 >= rho2 > 1.0):
+        raise ValueError("expected rho1 >= rho2 > 1")
+    _, _, m0, dm, _, _ = _line_batch(rho1, rho2, max_cond=1e12)
+    m0, dm = m0[0], dm[0]
+    s0, s1 = m0.sum(), dm.sum()
+    return MassLine4(rho1, rho2, m0 / s0, dm - s1 * m0 / s0,
+                     float(-1.0 / s0), float(s1 / s0))
 
 
 def solve_masses_4body(rho1: float, rho2: float, m3: float) -> MassVector:

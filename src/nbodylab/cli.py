@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, admissibility, central, fourbody, models
 from .errors import NBodyError, NoConvergenceError
-from .potential import Configuration, MassVector, hessian_w
+from .potential import MassVector, hessian_w
 from .reporting import RunReport, jsonable
 
 
@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=2001, help="output samples")
     p.add_argument("--rtol", type=float, default=1e-12, help="integrator tolerance")
     p.add_argument("--init-json", default=None,
-                   help="JSON file with model, q0, p0, t_end (flags override)")
+                   help="JSON model file; its n, kappa, dof, d override the "
+                        "flags, its other fields only fill unset flags")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check-subspace", help="acceleration leakage of an invariant subspace")
@@ -139,12 +140,20 @@ def _check_body_count(masses, n):
 # subcommands
 
 
+def _write_eigenvalues_csv(report: RunReport, rep):
+    report.write_csv(
+        "eigenvalues.csv",
+        ("index", "eigenvalue", "admissible_match"),
+        [(i, v, "" if m is None else m)
+         for i, (v, m) in enumerate(zip(rep.eigenvalues, rep.matches))],
+    )
+
+
 def cmd_solve_cc(args, report: RunReport):
     _check_body_count(args.masses, args.n)
     mv = MassVector(np.asarray(args.masses, dtype=float))
-    cc = central.moulton_solve(mv, order=args.order)
-    norm = central.normalize_cc(cc)
-    spec = hessian_w(norm.masses, norm.config).spectrum()
+    cc = central.moulton_solve(mv, order=args.order)  # already normalized
+    spec = hessian_w(cc.masses, cc.config).spectrum()
     rep = admissibility.spectrum_report(spec)
     payload = jsonable({
         "masses": mv.values,
@@ -152,7 +161,7 @@ def cmd_solve_cc(args, report: RunReport):
         "multiplier": cc.multiplier,
         "center": float(cc.center[0]),
         "residual": cc.residual,
-        "normalized_positions": norm.config.coords[:, 0],
+        "normalized_positions": cc.config.coords[:, 0],
         "spectrum": {
             "eigenvalues": rep.eigenvalues,
             "matches": rep.matches,
@@ -160,12 +169,7 @@ def cmd_solve_cc(args, report: RunReport):
         },
     })
     report.write_json("solve_cc.json", payload, "solve_cc")
-    report.write_csv(
-        "eigenvalues.csv",
-        ("index", "eigenvalue", "admissible_match"),
-        [(i, v, "" if m is None else m)
-         for i, (v, m) in enumerate(zip(rep.eigenvalues, rep.matches))],
-    )
+    _write_eigenvalues_csv(report, rep)
 
 
 def cmd_ek(args, report: RunReport):
@@ -264,12 +268,7 @@ def cmd_planar(args, report: RunReport):
         "verdict": verdict,
     })
     report.write_json("planar.json", payload, "planar")
-    report.write_csv(
-        "eigenvalues.csv",
-        ("index", "eigenvalue", "admissible_match"),
-        [(i, v, "" if m is None else m)
-         for i, (v, m) in enumerate(zip(rep.eigenvalues, rep.matches))],
-    )
+    _write_eigenvalues_csv(report, rep)
 
 
 def _build_chart(args):

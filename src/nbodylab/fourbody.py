@@ -9,6 +9,10 @@ numerical bound trace < 70, which caps the candidate eigenvalue pairs at 26;
 determinant matching (Z0) and third-derivative contractions (Z1..Z4) then
 eliminate all but the survivors.
 
+The mass line itself comes from ``central``: the grid code runs on its
+batched multiplier -1 line (``_line_batch``), and ``trace_4body`` on the
+sum-1 line ``mass_line_4body``, the closed-form image of the same solve.
+
 Sweeps here are numerical evidence on a finite grid, not certified bounds;
 every exported summary carries that caveat.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import admissible_values, odd_family_predicate
-from .central import mass_line_4body, solve_masses_4body
+from .central import _line_batch, _positions, mass_line_4body
 from .errors import EmptyFeasibleSetError, InvalidKError, RankDeficiencyError
 from .potential import Configuration, MassVector, hessian_w, third_contract
 
@@ -63,55 +67,8 @@ ORDER2_CONDITION_COUNTS = {
 _POSITIVITY_TOL = 1e-12
 
 
-def _positions(rho1, rho2):
-    r1 = np.atleast_1d(np.asarray(rho1, dtype=float))
-    r2 = np.atleast_1d(np.asarray(rho2, dtype=float))
-    pos = np.empty(r1.shape + (4,))
-    pos[..., 0] = -r1
-    pos[..., 1] = -1.0
-    pos[..., 2] = 1.0
-    pos[..., 3] = r2
-    return pos
-
-
-def _line_batch(rho1, rho2):
-    """Mass lines with multiplier -1 at the literal configurations.
-
-    Solves, for every shape in the batch, the 5x5 system in (m, center) with
-    gauge m3 = t; returns (positions, m0, dm, tr0, dtr) where masses are
-    m0 + t*dm and the Hessian trace is tr0 + t*dtr.
-    """
-    pos = _positions(rho1, rho2)
-    n = pos.shape[0]
-    diff = pos[:, None, :] - pos[:, :, None]        # [cell, i, j] = c_j - c_i
-    dist = np.abs(diff)
-    off = ~np.eye(4, dtype=bool)
-    inv3 = np.zeros_like(dist)
-    inv3[:, off] = dist[:, off] ** -3
-
-    a = np.zeros((n, 5, 5))
-    a[:, :4, :4] = diff * inv3
-    a[:, :4, 4] = 1.0
-    a[:, 4, 2] = 1.0
-    rhs = np.zeros((n, 5, 2))
-    rhs[:, :4, 0] = -pos
-    rhs[:, 4, 1] = 1.0
-    sol = np.linalg.solve(a, rhs)
-    m0, dm = sol[:, :4, 0], sol[:, :4, 1]
-
-    pair_inv3 = 2.0 * inv3
-    tr0 = np.einsum("nij,nj->n", pair_inv3, m0)
-    dtr = np.einsum("nij,nj->n", pair_inv3, dm)
-    return pos, m0, dm, tr0, dtr
-
-
-def _w_batch(pos, masses):
-    """1D mass-scaled Hessians, one 4x4 matrix per batch entry."""
-    diff = pos[:, None, :] - pos[:, :, None]
-    dist = np.abs(diff)
-    off = ~np.eye(4, dtype=bool)
-    inv3 = np.zeros_like(dist)
-    inv3[:, off] = dist[:, off] ** -3
+def _w_batch(inv3, masses):
+    """1D mass-scaled Hessians from _line_batch's inverse cubed distances."""
     w = -2.0 * masses[:, None, :] * inv3
     idx = np.arange(4)
     w[:, idx, idx] = -w.sum(axis=2)
@@ -140,10 +97,41 @@ def trace_4body(rho1: float, rho2: float, m3: float) -> float:
     if alpha >= 0:
         raise RankDeficiencyError(f"nonnegative multiplier {alpha} at ({rho1}, {rho2})")
     gamma = (-alpha) ** (1.0 / 3.0)
-    center = masses.values @ _positions(rho1, rho2)[0] / masses.total
-    scaled = gamma * (_positions(rho1, rho2)[0] - center)
+    pos = _positions(rho1, rho2)[0]
+    center = masses.values @ pos / masses.total
+    scaled = gamma * (pos - center)
     w = hessian_w(masses, Configuration(scaled))
     return float(np.trace(w.matrix))
+
+
+def _positive_segment(m0, dm):
+    """Bounded t intervals where every mass m0 + t*dm is positive.
+
+    Batched over the rows of (n, 4) arrays.  Returns (feasible, lo, hi,
+    lo_idx, hi_idx), where lo_idx and hi_idx name the mass that vanishes at
+    each end; a row is feasible when lo < hi and both ends are finite.
+    """
+    n = m0.shape[0]
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    lo_idx = np.full(n, -1)
+    hi_idx = np.full(n, -1)
+    for i in range(4):
+        b = dm[:, i]
+        root = np.where(np.abs(b) > _POSITIVITY_TOL, -m0[:, i] / np.where(
+            np.abs(b) > _POSITIVITY_TOL, b, 1.0), np.nan)
+        up = b > _POSITIVITY_TOL
+        take = up & (root > lo)
+        lo = np.where(take, root, lo)
+        lo_idx = np.where(take, i, lo_idx)
+        down = b < -_POSITIVITY_TOL
+        take = down & (root < hi)
+        hi = np.where(take, root, hi)
+        hi_idx = np.where(take, i, hi_idx)
+        flat = (~up) & (~down) & (m0[:, i] <= 0.0)
+        lo = np.where(flat, np.inf, lo)
+    feasible = (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    return feasible, lo, hi, lo_idx, hi_idx
 
 
 def feasible_mass_interval(rho1: float, rho2: float):
@@ -153,24 +141,12 @@ def feasible_mass_interval(rho1: float, rho2: float):
     so traces at the interval endpoints land on the boundary_maxima values.
     """
     line = mass_line_4body(rho1, rho2)
-    lo, hi = _interval(line.intercept, line.slope)
-    if lo >= hi:
+    feasible, lo, hi, _, _ = _positive_segment(line.intercept[None], line.slope[None])
+    if not feasible[0]:
         raise EmptyFeasibleSetError(
             f"no positive-mass m3 at shape ({rho1}, {rho2})"
         )
-    return float(lo), float(hi)
-
-
-def _interval(m0, dm):
-    lo, hi = -np.inf, np.inf
-    for a, b in zip(m0, dm):
-        if b > _POSITIVITY_TOL:
-            lo = max(lo, -a / b)
-        elif b < -_POSITIVITY_TOL:
-            hi = min(hi, -a / b)
-        elif a <= 0.0:
-            return np.inf, -np.inf
-    return lo, hi
+    return float(lo[0]), float(hi[0])
 
 
 def boundary_maxima(rho1: float, rho2: float):
@@ -180,13 +156,12 @@ def boundary_maxima(rho1: float, rho2: float):
     M_i themselves are defined from the affine family regardless of the sign
     of the remaining masses at each root.
     """
-    _, m0, dm, tr0, dtr = _line_batch([rho1], [rho2])
-    m0, dm, tr0, dtr = m0[0], dm[0], tr0[0], dtr[0]
-    lo, hi = _interval(m0, dm)
-    if lo >= hi:
+    _, _, m0, dm, tr0, dtr = _line_batch(rho1, rho2)
+    if not _positive_segment(m0, dm)[0][0]:
         raise EmptyFeasibleSetError(
             f"no positive-mass m3 at shape ({rho1}, {rho2})"
         )
+    m0, dm, tr0, dtr = m0[0], dm[0], tr0[0], dtr[0]
     out = []
     for i in range(4):
         if abs(dm[i]) <= _POSITIVITY_TOL:
@@ -223,27 +198,8 @@ class TraceSweepResult:
 
 def _sweep_chunk(args):
     r1, r2 = args
-    pos, m0, dm, tr0, dtr = _line_batch(r1, r2)
-    n = r1.size
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    lo_idx = np.full(n, -1)
-    hi_idx = np.full(n, -1)
-    for i in range(4):
-        b = dm[:, i]
-        root = np.where(np.abs(b) > _POSITIVITY_TOL, -m0[:, i] / np.where(
-            np.abs(b) > _POSITIVITY_TOL, b, 1.0), np.nan)
-        up = b > _POSITIVITY_TOL
-        take = up & (root > lo)
-        lo = np.where(take, root, lo)
-        lo_idx = np.where(take, i, lo_idx)
-        down = b < -_POSITIVITY_TOL
-        take = down & (root < hi)
-        hi = np.where(take, root, hi)
-        hi_idx = np.where(take, i, hi_idx)
-        flat = (~up) & (~down) & (m0[:, i] <= 0.0)
-        lo = np.where(flat, np.inf, lo)
-    feasible = (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    _, _, m0, dm, tr0, dtr = _line_batch(r1, r2)
+    feasible, lo, hi, lo_idx, hi_idx = _positive_segment(m0, dm)
     lo_s = np.where(feasible, lo, 0.0)
     hi_s = np.where(feasible, hi, 0.0)
     tr_lo = np.where(feasible, tr0 + lo_s * dtr, -np.inf)
@@ -266,7 +222,10 @@ def _grid_axes(rho_max, cells):
 
 def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None,
                 refine: bool = True, keep_rows: bool = True) -> TraceSweepResult:
-    """Sweep boundary trace maxima over the grid (1, rho_max]^2, rho1 >= rho2."""
+    """Sweep boundary trace maxima over the grid (1, rho_max]^2, rho1 >= rho2.
+
+    Raises EmptyFeasibleSetError when no cell has a positive-mass segment.
+    """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     mask = g1 >= g2
@@ -300,9 +259,12 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
                 gmax = float(best[j])
                 argmax = (row[0], row[1], row[3], row[2])
 
-    refined = False
-    if refine and np.isfinite(gmax):
-        refined = True
+    if not np.isfinite(gmax):
+        raise EmptyFeasibleSetError(
+            f"no cell of the {cells} x {cells} grid up to rho_max={rho_max} "
+            "has positive masses"
+        )
+    if refine:
         span = (rho_max - 1.0) / cells
         c1, c2 = argmax[0], argmax[1]
         for _ in range(3):
@@ -320,7 +282,7 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
             span /= 12.0
 
     return TraceSweepResult(rho_max, cells, gmax, argmax, rows, violations,
-                            empty, refined)
+                            empty, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +296,6 @@ class PairCandidate:
     pair: tuple
     status: str = "enumerated"
     evidence: dict = field(default_factory=dict)
-
-    @property
-    def eigenvalue_sum(self) -> int:
-        return self.pair[0] + self.pair[1]
 
 
 def enumerate_pairs() -> list[PairCandidate]:
@@ -359,9 +317,66 @@ def _pair_key(pair) -> tuple:
     return a, b
 
 
-def _z0_grid(pair, rho_max, cells):
-    """Z0 over the strict rho1 > rho2 grid, with the trace matched in m3."""
-    lam1, lam2 = pair
+def _trace_matched(pair, rho1, rho2):
+    """Line masses where the W trace equals 2 + lam1 + lam2, one row per shape.
+
+    Returns (inv3, masses) with inv3 from _line_batch; masses may be signed.
+    """
+    _, inv3, m0, dm, tr0, dtr = _line_batch(rho1, rho2)
+    t = (2.0 + pair[0] + pair[1] - tr0) / dtr
+    return inv3, m0 + t[:, None] * dm
+
+
+def _z0_points(pair, r1, r2):
+    inv3, masses = _trace_matched(pair, r1, r2)
+    return _third_invariant(_w_batch(inv3, masses)) / 2.0 - pair[0] * pair[1]
+
+
+def _bisect_zero(pair, p, q, iters=60):
+    """Refine a sign change of Z0 along the segment p -> q; None on a pole."""
+    def z0(point):
+        return float(_z0_points(pair, point[0], point[1])[0])
+
+    fp, fq = z0(p), z0(q)
+    if not (np.isfinite(fp) and np.isfinite(fq)) or fp * fq > 0:
+        return None
+    scale = min(abs(fp), abs(fq))
+    for _ in range(iters):
+        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+        fm = z0(mid)
+        if not np.isfinite(fm):
+            return None
+        if fp * fm <= 0:
+            q, fq = mid, fm
+        else:
+            p, fp = mid, fm
+    mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+    # a genuine zero shrinks |Z0| below the bracket scale; a pole grows
+    if abs(z0(mid)) < max(1e-6, 1e-3 * scale):
+        return mid
+    return None
+
+
+def _grid_sign_changes(z):
+    """Index pairs of vertically, then horizontally adjacent cells with a sign flip."""
+    flips = []
+    sign = np.sign(z)
+    flip = (sign[:-1, :] * sign[1:, :]) < 0
+    for i, j in zip(*np.nonzero(flip)):
+        flips.append(((i, j), (i + 1, j)))
+    flip = (sign[:, :-1] * sign[:, 1:]) < 0
+    for i, j in zip(*np.nonzero(flip)):
+        flips.append(((i, j), (i, j + 1)))
+    return flips
+
+
+def _z0_locus(pair, rho_max, cells, max_hits=None):
+    """Z0 on the strict rho1 > rho2 grid, its sign flips, and bisected zeros.
+
+    The trace is matched in m3 at every cell.  Flips are bisected in order
+    until ``max_hits`` zeros are confirmed.  Returns (z0 on the grid cells,
+    flips, zeros).
+    """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     mask = g1 > g2
@@ -371,56 +386,17 @@ def _z0_grid(pair, rho_max, cells):
     for i in range(0, r1.size, chunk):
         s = slice(i, i + chunk)
         z0[s] = _z0_points(pair, r1[s], r2[s])
-    return r1, r2, z0, g1, g2, mask
-
-
-def _z0_points(pair, r1, r2):
-    lam1, lam2 = pair
-    pos, m0, dm, tr0, dtr = _line_batch(r1, r2)
-    target = 2.0 + lam1 + lam2
-    t = (target - tr0) / dtr
-    masses = m0 + t[:, None] * dm
-    w = _w_batch(pos, masses)
-    return _third_invariant(w) / 2.0 - lam1 * lam2
-
-
-def _bisect_zero(pair, p, q, iters=60):
-    """Refine a sign change of Z0 along the segment p -> q; None on a pole."""
-    fp = float(_z0_points(pair, np.array([p[0]]), np.array([p[1]]))[0])
-    fq = float(_z0_points(pair, np.array([q[0]]), np.array([q[1]]))[0])
-    if not (np.isfinite(fp) and np.isfinite(fq)) or fp * fq > 0:
-        return None
-    scale = min(abs(fp), abs(fq))
-    for _ in range(iters):
-        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-        fm = float(_z0_points(pair, np.array([mid[0]]), np.array([mid[1]]))[0])
-        if not np.isfinite(fm):
-            return None
-        if fp * fm <= 0:
-            q, fq = mid, fm
-        else:
-            p, fp = mid, fm
-    mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-    fm = float(_z0_points(pair, np.array([mid[0]]), np.array([mid[1]]))[0])
-    # a genuine zero shrinks |Z0| below the bracket scale; a pole grows
-    if abs(fm) < max(1e-6, 1e-3 * scale):
-        return mid
-    return None
-
-
-def _grid_sign_changes(r_all, z_all, mask):
-    """Index pairs of horizontally/vertically adjacent cells with a sign flip."""
-    z = np.full(mask.shape, np.nan)
-    z[mask] = z_all
-    flips = []
-    sign = np.sign(z)
-    flip = (sign[:-1, :] * sign[1:, :]) < 0
-    for i, j in zip(*np.nonzero(flip)):
-        flips.append(((i, j), (i + 1, j)))
-    flip = (sign[:, :-1] * sign[:, 1:]) < 0
-    for i, j in zip(*np.nonzero(flip)):
-        flips.append(((i, j), (i, j + 1)))
-    return flips, z
+    zgrid = np.full(mask.shape, np.nan)
+    zgrid[mask] = z0
+    flips = _grid_sign_changes(zgrid)
+    hits = []
+    for (i1, j1), (i2, j2) in flips:
+        hit = _bisect_zero(pair, (g1[i1, j1], g2[i1, j1]), (g1[i2, j2], g2[i2, j2]))
+        if hit is not None:
+            hits.append(hit)
+            if len(hits) == max_hits:
+                break
+    return z0, flips, hits
 
 
 def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
@@ -438,18 +414,8 @@ def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
     if symmetric:
         return _symmetric_feasibility(cand, rho_max)
 
-    r1, r2, z0, g1, g2, mask = _z0_grid(key, rho_max, cells)
+    z0, flips, hits = _z0_locus(key, rho_max, cells, max_hits=8)
     finite = np.isfinite(z0)
-    flips, zfull = _grid_sign_changes(r1, z0, mask)
-    hits = []
-    for (i1, j1), (i2, j2) in flips:
-        p = (g1[i1, j1], g2[i1, j1])
-        q = (g1[i2, j2], g2[i2, j2])
-        hit = _bisect_zero(key, p, q)
-        if hit is not None:
-            hits.append(hit)
-            if len(hits) >= 8:
-                break
     cand.evidence = {
         "mode": "nonsymmetric",
         "grid_cells": int(finite.sum()),
@@ -468,7 +434,7 @@ def _symmetric_trace_root(target, rho_max):
     lo, hi = 1.0 + 1e-6, rho_max
 
     def f(rho):
-        _, m0, dm, tr0, dtr = _line_batch([rho], [rho])
+        _, _, _, _, tr0, _ = _line_batch(rho, rho)
         return tr0[0] - target
 
     flo, fhi = f(lo), f(hi)
@@ -484,11 +450,11 @@ def _symmetric_trace_root(target, rho_max):
     return 0.5 * (lo + hi)
 
 
-def _z0_cubic_roots(pos, m0, dm, prod):
+def _z0_cubic_roots(inv3, m0, dm, prod):
     """Real roots in t of Z0(t), an exact cubic along the mass line."""
     ts = np.arange(4.0)
     masses = m0[None, :] + ts[:, None] * dm[None, :]
-    w = _w_batch(np.repeat(pos[None, :], 4, axis=0), masses)
+    w = _w_batch(np.repeat(inv3[None], 4, axis=0), masses)
     z = _third_invariant(w) / 2.0 - prod
     coeffs = np.linalg.solve(np.vander(ts, increasing=True), z)  # ascending
     c = coeffs[::-1]
@@ -511,8 +477,8 @@ def _symmetric_feasibility(cand, rho_max):
     rho = _symmetric_trace_root(2.0 + lam1 + lam2, rho_max)
     solutions = []
     if rho is not None:
-        pos, m0, dm, tr0, dtr = _line_batch([rho], [rho])
-        for t_root in _z0_cubic_roots(pos[0], m0[0], dm[0], lam1 * lam2):
+        _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
+        for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
             if np.all(m0[0] + t_root * dm[0] > 0):
                 solutions.append((float(rho), float(t_root)))
     cand.evidence = {
@@ -538,18 +504,11 @@ def _plane_basis(rho1, rho2):
 def _plane_contractions(rho1, rho2, masses):
     w1, w2 = _plane_basis(rho1, rho2)
     mv = MassVector(masses)
-    cf = Configuration(_positions([rho1], [rho2])[0][:, None])
+    cf = Configuration(_positions(rho1, rho2)[0])
     return tuple(
         third_contract(mv, cf, x, y, z)
         for x, y, z in ((w1, w1, w1), (w1, w1, w2), (w1, w2, w2), (w2, w2, w2))
     )
-
-
-def _mass_at_trace(pair, rho1, rho2):
-    lam1, lam2 = pair
-    pos, m0, dm, tr0, dtr = _line_batch([rho1], [rho2])
-    t = (2.0 + lam1 + lam2 - tr0[0]) / dtr[0]
-    return m0[0] + t * dm[0]
 
 
 def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
@@ -570,17 +529,11 @@ def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
     cand = PairCandidate(key)
     lam1, lam2 = key
 
-    # non-symmetric branch: walk the Z0 = 0 locus column by column
-    r1, r2, z0, g1, g2, mask = _z0_grid(key, rho_max, cells)
-    flips, _ = _grid_sign_changes(r1, z0, mask)
-    locus = []
-    for (i1, j1), (i2, j2) in flips:
-        hit = _bisect_zero(key, (g1[i1, j1], g2[i1, j1]), (g1[i2, j2], g2[i2, j2]))
-        if hit is not None:
-            locus.append(hit)
+    # non-symmetric branch: the bisected Z0 = 0 locus, trace matched in m3
+    _, _, locus = _z0_locus(key, rho_max, cells)
     nonsym_min = math.inf
     for rho1, rho2 in locus:
-        masses = _mass_at_trace(key, rho1, rho2)
+        masses = _trace_matched(key, rho1, rho2)[1][0]
         zs = _plane_contractions(rho1, rho2, masses)
         nonsym_min = min(nonsym_min, max(abs(z) for z in zs))
 
@@ -589,8 +542,8 @@ def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
     sym_min = math.inf
     rho = _symmetric_trace_root(2.0 + lam1 + lam2, rho_max)
     if rho is not None:
-        pos, m0, dm, tr0, dtr = _line_batch([rho], [rho])
-        for t_root in _z0_cubic_roots(pos[0], m0[0], dm[0], lam1 * lam2):
+        _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
+        for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
             if t_root <= 0:
                 continue
             sym_points.append((float(rho), float(t_root)))
@@ -621,8 +574,7 @@ def condition_count(pair) -> int:
     return ORDER2_CONDITION_COUNTS[key]
 
 
-def classify_pairs(rho_max: float = 20.0, cells: int = 240,
-                   jobs: int | None = None) -> list[PairCandidate]:
+def classify_pairs(rho_max: float = 20.0, cells: int = 240) -> list[PairCandidate]:
     """Full pipeline: enumerate, Z0-eliminate, order-2 exclude."""
     out = []
     for cand in enumerate_pairs():

@@ -67,9 +67,6 @@ class MassVector:
     def all_positive(self) -> bool:
         return bool(np.all(self.values > 0.0))
 
-    def rescaled(self, factor: float) -> "MassVector":
-        return MassVector(self.values * factor)
-
 
 @dataclass
 class Configuration:

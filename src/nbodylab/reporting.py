@@ -10,6 +10,7 @@ Python's shortest repr (up to 17 significant digits).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
@@ -39,13 +40,21 @@ def jsonable(obj):
     return obj
 
 
-def _schema(name: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """Validator for a shipped schema, built once after checking the schema."""
     ref = resources.files("nbodylab.schemas").joinpath(f"{name}.schema.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_payload(payload: dict, schema_name: str) -> None:
-    jsonschema.validate(payload, _schema(schema_name))
+    """Raise jsonschema's best-matching ValidationError if the payload fails."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(payload))
+    if error is not None:
+        raise error
 
 
 def sha256_file(path: Path) -> str:

@@ -20,7 +20,11 @@ from nbodylab.central import (
     positivity_interval,
     solve_masses_4body,
 )
-from nbodylab.errors import AbsoluteEquilibriumError, SingularRhoError
+from nbodylab.errors import (
+    AbsoluteEquilibriumError,
+    RankDeficiencyError,
+    SingularRhoError,
+)
 from nbodylab.potential import Configuration, MassVector, hessian_w
 
 
@@ -162,16 +166,68 @@ def test_normalized_cc_kernel_relations():
         npt.assert_allclose(w @ x, 2.0 * x, atol=1e-10)
 
 
-def test_mass_line_4body_gauge_and_residual():
-    line = mass_line_4body(3.0, 2.0)
+@pytest.mark.parametrize("rho1,rho2", [(3.0, 2.0), (20.0, 1.02), (2.5, 2.5),
+                                       (1.05, 1.02)])
+def test_mass_line_4body_gauge_and_residual(rho1, rho2):
+    line = mass_line_4body(rho1, rho2)
     pos = line.configuration.coords
+    x = pos[:, 0]
+    gaps = np.abs(x[:, None] - x[None, :]) + np.eye(4)
     for t in (0.05, 0.15, 0.25):
         mv = line.masses(t)
-        npt.assert_allclose(mv.total, 1.0, rtol=1e-12)
+        m = mv.values
+        # near rho = 1 the line masses grow large and nearly cancel, so both
+        # checks are relative to the size of the individual terms
+        npt.assert_allclose(mv.total, 1.0, atol=1e-14 * np.abs(m).sum())
+        assert m[2] == pytest.approx(t, abs=1e-15)
         alpha = line.multiplier(t)
         assert alpha < 0
-        center = (mv.values @ pos) / mv.total
-        assert cc_residual(mv, Configuration(pos), alpha, center) <= 1e-10
+        center = (m @ pos) / mv.total
+        terms = np.abs(m[:, None] * m[None, :]) * (1.0 - np.eye(4)) / gaps**2
+        res = cc_residual(mv, Configuration(pos), alpha, center)
+        assert res <= 1e-12 * max(1.0, terms.sum(axis=1).max())
+
+
+def _sum1_line_direct(rho1, rho2):
+    """Sum-1 line from its own 6x6 system: K m = alpha c + beta, sum m = 1."""
+    c = np.array([-rho1, -1.0, 1.0, rho2])
+    mat = np.zeros((6, 6))
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                mat[i, j] = (c[j] - c[i]) / abs(c[j] - c[i]) ** 3
+    mat[:4, 4] = -c
+    mat[:4, 5] = -1.0
+    mat[4, :4] = 1.0
+    mat[5, 2] = 1.0
+    x0 = np.linalg.solve(mat, [0, 0, 0, 0, 1, 0])
+    x1 = np.linalg.solve(mat, [0, 0, 0, 0, 1, 1])
+    return x0[:4], x1[:4] - x0[:4], x0[4], x1[4] - x0[4]
+
+
+def test_mass_line_4body_matches_direct_sum1_system():
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        rho2 = rng.uniform(1.02, 10.0)
+        rho1 = rng.uniform(rho2, 20.0)
+        line = mass_line_4body(rho1, rho2)
+        icpt, slope, a0, a1 = _sum1_line_direct(rho1, rho2)
+        scale = np.abs(icpt).max() + np.abs(slope).max()
+        npt.assert_allclose(line.intercept, icpt, atol=1e-12 * scale)
+        npt.assert_allclose(line.slope, slope, atol=1e-12 * scale)
+        npt.assert_allclose(line.multiplier_intercept, a0, rtol=1e-10)
+        npt.assert_allclose(line.multiplier_slope, a1, atol=1e-10 * abs(a0))
+
+
+def test_mass_line_4body_rank_deficient_near_collision():
+    # cond of the line system is about 5.7e12 at this shape
+    with pytest.raises(RankDeficiencyError):
+        mass_line_4body(20.0, 1.001)
+
+
+def test_mass_line_4body_rejects_unordered_shape():
+    with pytest.raises(ValueError):
+        mass_line_4body(2.0, 3.0)
 
 
 def test_solve_masses_4body_matches_line():

@@ -4,11 +4,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy.testing as npt
 import pytest
 
 from nbodylab.cli import main
-from nbodylab.reporting import validate_payload
+from nbodylab.reporting import RunReport, validate_payload
 
 
 def run_ok(argv, capsys):
@@ -112,6 +113,31 @@ def test_sweep_runs_are_byte_identical(tmp_path, capsys):
         outs.append(run_dir)
     for name in ("sweep.json", "sweep.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_sweep_without_feasible_cell_exits_2_with_error_json(tmp_path, capsys):
+    code = main(["sweep", "--rho-max", "1.001", "--cells", "2",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "EmptyFeasibleSetError" in err
+    run_dir = only_run_dir(tmp_path)
+    payload = json.loads((run_dir / "error.json").read_text())
+    validate_payload(payload, "error")
+    assert payload["error"]["type"] == "EmptyFeasibleSetError"
+    assert not (run_dir / "sweep.json").exists()
+
+
+def test_invalid_payload_still_raises_after_a_valid_write(tmp_path):
+    # the schema's validator is built once and reused for every payload
+    report = RunReport(tmp_path, "ek", {})
+    valid = {"subcommand": "ek", "parameters": {},
+             "error": {"type": "InvalidKError", "message": "bad k"}}
+    report.write_json("error.json", valid, "error")
+    with pytest.raises(jsonschema.ValidationError):
+        report.write_json("error.json", {**valid, "error": {"type": 3}}, "error")
+    with pytest.raises(jsonschema.ValidationError):
+        validate_payload({"subcommand": "ek"}, "error")
 
 
 def test_pairs_symmetric_mode_finds_the_four_feasible(tmp_path, capsys):

@@ -110,6 +110,28 @@ def test_sweep_rows_round_trip_through_trace():
         npt.assert_allclose(trace_4body(r1, r2, m3), tr, atol=1e-9)
 
 
+def test_sweep_rows_match_scalar_boundary_maxima():
+    # the sweep runs on the literal multiplier -1 line, the scalar API on the
+    # sum-1 line; both must give the same boundary maximum at each cell
+    res = trace_sweep(rho_max=6.0, cells=40, jobs=None, refine=False)
+    rng = np.random.default_rng(43)
+    for idx in rng.choice(len(res.rows), size=6, replace=False):
+        r1, r2, which, m3, tr = res.rows[idx]
+        lo, hi = feasible_mass_interval(r1, r2)
+        ms = boundary_maxima(r1, r2)
+        ends = [trace_4body(r1, r2, s) for s in (lo, hi)]
+        end_ms = [v for v in ms if np.isfinite(v)
+                  and min(abs(v - e) for e in ends) <= 1e-9]
+        npt.assert_allclose(max(end_ms), tr, atol=1e-9)
+        npt.assert_allclose(ms[which - 1], tr, atol=1e-9)
+        npt.assert_allclose(min(abs(m3 - lo), abs(m3 - hi)), 0.0, atol=1e-12)
+
+
+def test_sweep_without_feasible_cell_raises():
+    with pytest.raises(EmptyFeasibleSetError):
+        trace_sweep(rho_max=1.001, cells=2)
+
+
 def test_sweep_parallel_matches_serial():
     serial = trace_sweep(rho_max=4.0, cells=30, jobs=None, refine=False)
     parallel = trace_sweep(rho_max=4.0, cells=30, jobs=2, refine=False)
