@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,9 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list:
@@ -44,6 +48,16 @@ def _int_list(text: str) -> list:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
+    return value
 
 
 def _fraction(text: str) -> Fraction:
@@ -106,7 +120,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q0", type=_float_list, default=None, help="initial positions")
     p.add_argument("--p0", type=_float_list, default=None, help="initial momenta")
     p.add_argument("--t-end", type=float, default=None, help="integration time")
-    p.add_argument("--samples", type=int, default=2001, help="output samples")
+    p.add_argument("--samples", type=_sample_count, default=2001,
+                   help="output samples (at least 2)")
     p.add_argument("--rtol", type=float, default=1e-12, help="integrator tolerance")
     p.add_argument("--init-json", default=None,
                    help="JSON model file; its n, kappa, dof, d override the "
@@ -271,6 +286,17 @@ def cmd_planar(args, report: RunReport):
     _write_eigenvalues_csv(report, rep)
 
 
+def _read_json_object(path, flag):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            spec = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise CliUsageError(f"cannot read {flag}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise CliUsageError(f"{flag} must hold a JSON object")
+    return spec
+
+
 def _build_chart(args):
     """Chart plus default circular initial state and its period, if any."""
     if args.model == "five-body":
@@ -307,8 +333,7 @@ def _build_chart(args):
 
 def cmd_simulate(args, report: RunReport):
     if args.init_json:
-        with open(args.init_json, encoding="utf-8") as handle:
-            spec = json.load(handle)
+        spec = _read_json_object(args.init_json, "--init-json")
         # the JSON is the model definition; model/state flags fill only gaps
         for key in ("n", "kappa", "dof", "d"):
             if key in spec:
@@ -355,8 +380,7 @@ def cmd_simulate(args, report: RunReport):
 
 def cmd_check_subspace(args, report: RunReport):
     if args.json_file:
-        with open(args.json_file, encoding="utf-8") as handle:
-            spec = json.load(handle)
+        spec = _read_json_object(args.json_file, "--json")
         basis = np.asarray(spec["basis_rows"], dtype=float).T
         sub = models.InvariantSubspace(
             MassVector(np.asarray(spec["masses"], dtype=float)),

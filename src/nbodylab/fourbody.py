@@ -7,7 +7,9 @@ is affine along it, so its maximum over the positive-mass segment is attained
 where one mass vanishes.  A dense sweep of those boundary values yields the
 numerical bound trace < 70, which caps the candidate eigenvalue pairs at 26;
 determinant matching (Z0) and third-derivative contractions (Z1..Z4) then
-eliminate all but the survivors.
+eliminate all but the survivors.  The Z0 = 0 locus of a pair comes from the
+sign flips of Z0 on a grid, and all flips of a pair are bisected as one
+array (``_bisect_zeros``), row for row the arithmetic of a scalar bisection.
 
 The mass line itself comes from ``central``: the grid code runs on its
 batched multiplier -1 line (``_line_batch``), and ``trace_4body`` on the
@@ -332,50 +334,71 @@ def _z0_points(pair, r1, r2):
     return _third_invariant(_w_batch(inv3, masses)) / 2.0 - pair[0] * pair[1]
 
 
-def _bisect_zero(pair, p, q, iters=60):
-    """Refine a sign change of Z0 along the segment p -> q; None on a pole."""
-    def z0(point):
-        return float(_z0_points(pair, point[0], point[1])[0])
+def _bisect_zeros(pair, p, q, iters=60):
+    """Refine the Z0 sign changes along the segments p[i] -> q[i], all at once.
 
-    fp, fq = z0(p), z0(q)
-    if not (np.isfinite(fp) and np.isfinite(fq)) or fp * fq > 0:
-        return None
-    scale = min(abs(fp), abs(fq))
+    p and q are (k, 2) arrays of bracket ends.  Each row runs the scalar
+    bisection: midpoint 0.5 * (p + q), keep the half where fp * fm <= 0, and
+    after ``iters`` steps accept the midpoint when |Z0| there is below
+    max(1e-6, 1e-3 * min(|fp|, |fq|)) of the original ends (a genuine zero
+    shrinks |Z0| below the bracket scale; a pole grows it).  A row is dropped
+    when its ends do not change sign or when an end or any midpoint is not
+    finite; dropped rows are not evaluated again.  Returns (midpoints, accepted).
+    """
+    p = np.array(p, dtype=float)
+    q = np.array(q, dtype=float)
+    k = p.shape[0]
+    ends = _z0_points(pair, np.concatenate([p[:, 0], q[:, 0]]),
+                      np.concatenate([p[:, 1], q[:, 1]]))
+    fp, fq = ends[:k], ends[k:]
+    live = np.isfinite(fp) & np.isfinite(fq)
+    with np.errstate(over="ignore"):  # overflow to inf keeps the sign, as Python floats do
+        live &= ~(fp * fq > 0)
+    scale = np.minimum(np.abs(fp), np.abs(fq))
     for _ in range(iters):
-        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-        fm = z0(mid)
-        if not np.isfinite(fm):
-            return None
-        if fp * fm <= 0:
-            q, fq = mid, fm
-        else:
-            p, fp = mid, fm
-    mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
-    # a genuine zero shrinks |Z0| below the bracket scale; a pole grows
-    if abs(z0(mid)) < max(1e-6, 1e-3 * scale):
-        return mid
-    return None
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        mid = 0.5 * (p[rows] + q[rows])
+        fm = _z0_points(pair, mid[:, 0], mid[:, 1])
+        finite = np.isfinite(fm)
+        live[rows[~finite]] = False
+        rows, mid, fm = rows[finite], mid[finite], fm[finite]
+        with np.errstate(over="ignore"):
+            left = fp[rows] * fm <= 0
+        q[rows[left]] = mid[left]
+        p[rows[~left]] = mid[~left]
+        fp[rows[~left]] = fm[~left]
+    mid = 0.5 * (p + q)
+    rows = np.flatnonzero(live)
+    accepted = np.zeros(k, dtype=bool)
+    z = _z0_points(pair, mid[rows, 0], mid[rows, 1])
+    accepted[rows] = np.abs(z) < np.maximum(1e-6, 1e-3 * scale[rows])
+    return mid, accepted
 
 
 def _grid_sign_changes(z):
-    """Index pairs of vertically, then horizontally adjacent cells with a sign flip."""
-    flips = []
+    """Flat indices (a, b) of adjacent grid cells where z changes sign.
+
+    Vertically adjacent pairs come first, then horizontally adjacent ones,
+    each in row-major order of the first cell.
+    """
     sign = np.sign(z)
-    flip = (sign[:-1, :] * sign[1:, :]) < 0
-    for i, j in zip(*np.nonzero(flip)):
-        flips.append(((i, j), (i + 1, j)))
-    flip = (sign[:, :-1] * sign[:, 1:]) < 0
-    for i, j in zip(*np.nonzero(flip)):
-        flips.append(((i, j), (i, j + 1)))
-    return flips
+    idx = np.arange(z.size).reshape(z.shape)
+    down = (sign[:-1, :] * sign[1:, :]) < 0
+    right = (sign[:, :-1] * sign[:, 1:]) < 0
+    a = np.concatenate([idx[:-1, :][down], idx[:, :-1][right]])
+    b = np.concatenate([idx[1:, :][down], idx[:, 1:][right]])
+    return a, b
 
 
 def _z0_locus(pair, rho_max, cells, max_hits=None):
     """Z0 on the strict rho1 > rho2 grid, its sign flips, and bisected zeros.
 
-    The trace is matched in m3 at every cell.  Flips are bisected in order
-    until ``max_hits`` zeros are confirmed.  Returns (z0 on the grid cells,
-    flips, zeros).
+    The trace is matched in m3 at every cell.  All flips of the pair are
+    bisected as one array; the first ``max_hits`` confirmed zeros in flip
+    order are kept.  Returns (z0 on the grid cells, number of flips, zeros as
+    a (h, 2) array of (rho1, rho2)).
     """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
@@ -388,15 +411,10 @@ def _z0_locus(pair, rho_max, cells, max_hits=None):
         z0[s] = _z0_points(pair, r1[s], r2[s])
     zgrid = np.full(mask.shape, np.nan)
     zgrid[mask] = z0
-    flips = _grid_sign_changes(zgrid)
-    hits = []
-    for (i1, j1), (i2, j2) in flips:
-        hit = _bisect_zero(pair, (g1[i1, j1], g2[i1, j1]), (g1[i2, j2], g2[i2, j2]))
-        if hit is not None:
-            hits.append(hit)
-            if len(hits) == max_hits:
-                break
-    return z0, flips, hits
+    a, b = _grid_sign_changes(zgrid)
+    shapes = np.column_stack([g1.ravel(), g2.ravel()])
+    mid, accepted = _bisect_zeros(pair, shapes[a], shapes[b])
+    return z0, a.size, mid[accepted][:max_hits]
 
 
 def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
@@ -414,18 +432,18 @@ def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
     if symmetric:
         return _symmetric_feasibility(cand, rho_max)
 
-    z0, flips, hits = _z0_locus(key, rho_max, cells, max_hits=8)
+    z0, n_flips, hits = _z0_locus(key, rho_max, cells, max_hits=8)
     finite = np.isfinite(z0)
     cand.evidence = {
         "mode": "nonsymmetric",
         "grid_cells": int(finite.sum()),
-        "sign_changes": len(flips),
+        "sign_changes": n_flips,
         "zeros_confirmed": len(hits),
         "min_abs_z0": float(np.nanmin(np.abs(z0))) if finite.any() else math.nan,
         "zero_samples": [tuple(map(float, h)) for h in hits[:4]],
         "caveat": SWEEP_CAVEAT,
     }
-    cand.status = "feasible" if hits else "excluded-by-Z0"
+    cand.status = "feasible" if len(hits) else "excluded-by-Z0"
     return cand
 
 
@@ -531,9 +549,9 @@ def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
 
     # non-symmetric branch: the bisected Z0 = 0 locus, trace matched in m3
     _, _, locus = _z0_locus(key, rho_max, cells)
+    locus_masses = _trace_matched(key, locus[:, 0], locus[:, 1])[1]
     nonsym_min = math.inf
-    for rho1, rho2 in locus:
-        masses = _trace_matched(key, rho1, rho2)[1][0]
+    for (rho1, rho2), masses in zip(locus, locus_masses):
         zs = _plane_contractions(rho1, rho2, masses)
         nonsym_min = min(nonsym_min, max(abs(z) for z in zs))
 

@@ -156,6 +156,15 @@ def test_pairs_symmetric_mode_finds_the_four_feasible(tmp_path, capsys):
     check_manifest(run_dir)
 
 
+def test_pairs_runs_are_byte_identical(tmp_path, capsys):
+    outs = []
+    for sub in ("a", "b"):
+        outs.append(run_ok(["pairs", "--cells", "40", "--out", str(tmp_path / sub)],
+                           capsys))
+    for name in ("pairs.json", "pairs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_simulate_five_body_trajectory_columns(tmp_path, capsys):
     run_dir = run_ok(["simulate", "--model", "five-body", "--t-end", "5",
                       "--samples", "101", "--out", str(tmp_path)], capsys)
@@ -226,6 +235,42 @@ def test_malformed_masses_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve-cc", "--masses", "1,x,3", "--out", str(tmp_path)])
     assert exc.value.code == 1
+
+
+def test_non_finite_masses_exit_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-cc", "--masses", "nan,1,1", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_too_few_samples_exits_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "n3", "--samples", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "at least 2 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read --init-json"),
+    ("{not json", "cannot read --init-json"),
+    ("[1, 2]", "--init-json must hold a JSON object"),
+])
+def test_simulate_unreadable_init_json_exits_1(tmp_path, capsys, content, message):
+    init = tmp_path / "orbit.json"
+    if content is not None:
+        init.write_text(content)
+    code = main(["simulate", "--init-json", str(init), "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_check_subspace_missing_json_exits_1(tmp_path, capsys):
+    code = main(["check-subspace", "--json", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert "cannot read --json" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

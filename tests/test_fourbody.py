@@ -1,9 +1,12 @@
 """4-body trace bound, boundary maxima, pair enumeration and elimination."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nbodylab import fourbody
 from nbodylab.central import mass_line_4body, normalize_cc, CentralConfiguration
 from nbodylab.errors import EmptyFeasibleSetError, InvalidKError
 from nbodylab.fourbody import (
@@ -27,6 +30,22 @@ NONSYM_EXCLUDED = {
 }
 SYM_FEASIBLE = {(5, 9), (5, 14), (9, 27), (14, 44)}
 ORDER2_EXCLUDED = {(5, 5), (5, 14), (5, 27), (14, 44)}
+
+# Z0 sign flips per surviving pair on the rho_max=20, 120-cell grid
+SIGN_CHANGES_120 = {
+    (5, 5): 123, (5, 9): 135, (5, 14): 148, (5, 20): 160, (5, 27): 172,
+    (5, 35): 183, (5, 44): 195, (5, 54): 198, (9, 20): 133, (9, 27): 225,
+    (9, 35): 233, (9, 44): 238, (9, 54): 227, (14, 44): 209,
+}
+LOCUS_POINTS_120 = {(5, 5): 123, (5, 14): 148, (5, 27): 172, (14, 44): 209}
+
+
+@pytest.fixture(scope="module")
+def classified_120():
+    """classify_pairs on the 120-cell grid, run with RuntimeWarning as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return {c.pair: c for c in classify_pairs(rho_max=20.0, cells=120)}
 
 
 def test_trace_affine_in_mass_parameter():
@@ -204,14 +223,89 @@ def test_condition_count_table():
         condition_count((9, 14))
 
 
-def test_classify_pairs_statuses():
-    cands = classify_pairs(rho_max=20.0, cells=120)
+def test_classify_pairs_statuses(classified_120):
     by_status = {}
-    for c in cands:
+    for c in classified_120.values():
         by_status.setdefault(c.status, set()).add(c.pair)
     assert by_status["excluded-by-Z0"] == NONSYM_EXCLUDED
     assert by_status["order2-excluded"] == ORDER2_EXCLUDED
     assert len(by_status["feasible"]) == 10
-    for c in cands:
+    for c in classified_120.values():
         if c.status == "feasible":
             assert c.evidence["order2_conditions"] == ORDER2_CONDITION_COUNTS[c.pair]
+
+
+def test_classify_pairs_frozen_bisection_counts(classified_120):
+    assert len(classified_120) == 26
+    for pair, cand in classified_120.items():
+        assert cand.evidence["sign_changes"] == SIGN_CHANGES_120.get(pair, 0)
+        assert cand.evidence["zeros_confirmed"] == (8 if pair in SIGN_CHANGES_120 else 0)
+        assert cand.evidence.get("nonsym_locus_points") == LOCUS_POINTS_120.get(pair)
+
+
+def test_pair_pipeline_raises_no_runtime_warning(classified_120):
+    # the fixture already ran classify_pairs under the same filter
+    assert len(classified_120) == 26
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for c in enumerate_pairs():
+            pair_feasibility(c.pair, symmetric=True, rho_max=20.0)
+
+
+def _scalar_bisect(pair, p, q, iters=60):
+    """One bracket at a time, on single-point Z0 evaluations."""
+    def z0(point):
+        return float(fourbody._z0_points(pair, point[0], point[1])[0])
+
+    fp, fq = z0(p), z0(q)
+    if not (np.isfinite(fp) and np.isfinite(fq)) or fp * fq > 0:
+        return None
+    scale = min(abs(fp), abs(fq))
+    for _ in range(iters):
+        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+        fm = z0(mid)
+        if not np.isfinite(fm):
+            return None
+        if fp * fm <= 0:
+            q, fq = mid, fm
+        else:
+            p, fp = mid, fm
+    mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+    if abs(z0(mid)) < max(1e-6, 1e-3 * scale):
+        return mid
+    return None
+
+
+def test_bisect_zeros_matches_scalar_bisection():
+    pair = (5, 27)
+    axis = fourbody._grid_axes(20.0, 60)
+    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+    mask = g1 > g2
+    zgrid = np.full(mask.shape, np.nan)
+    zgrid[mask] = fourbody._z0_points(pair, g1[mask], g2[mask])
+    a, b = fourbody._grid_sign_changes(zgrid)
+
+    # flip order: vertical neighbours row-major, then horizontal ones
+    sign = np.sign(zgrid)
+    loop = [(i * 60 + j, (i + 1) * 60 + j)
+            for i, j in zip(*np.nonzero(sign[:-1, :] * sign[1:, :] < 0))]
+    loop += [(i * 60 + j, i * 60 + j + 1)
+             for i, j in zip(*np.nonzero(sign[:, :-1] * sign[:, 1:] < 0))]
+    assert list(zip(a.tolist(), b.tolist())) == loop
+    assert a.size > 50
+
+    shapes = np.column_stack([g1.ravel(), g2.ravel()])
+    p, q = shapes[a], shapes[b]
+    # one bracket whose ends share a sign, one with a non-finite end
+    p = np.vstack([p, [3.2, 2.9], [np.nan, 2.0]])
+    q = np.vstack([q, [2.93, 3.01], [3.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mid, accepted = fourbody._bisect_zeros(pair, p, q)
+    assert not accepted[-2:].any()
+    for k in range(len(p)):
+        ref = _scalar_bisect(pair, tuple(p[k]), tuple(q[k]))
+        assert accepted[k] == (ref is not None)
+        if ref is not None:
+            assert tuple(mid[k]) == ref
+    assert accepted[:-2].all()
