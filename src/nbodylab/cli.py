@@ -112,11 +112,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="integrate a model chart and report drifts")
     p.add_argument("--model", choices=("five-body", "n3", "kepler", "full"),
                    default=None, help="which chart to integrate")
-    p.add_argument("--n", type=int, default=4, help="polygon size for the n3 model")
-    p.add_argument("--kappa", type=float, default=1.0, help="kepler strength")
-    p.add_argument("--dof", type=int, default=3, help="kepler degrees of freedom")
+    p.add_argument("--n", type=int, help="polygon size for the n3 model (default 4)")
+    p.add_argument("--kappa", type=float, help="kepler strength (default 1)")
+    p.add_argument("--dof", type=int, help="kepler degrees of freedom (default 3)")
     p.add_argument("--masses", type=_float_list, default=None, help="full-model masses")
-    p.add_argument("--d", type=int, default=2, help="full-model space dimension")
+    p.add_argument("--d", type=int, help="full-model space dimension (default 2)")
     p.add_argument("--q0", type=_float_list, default=None, help="initial positions")
     p.add_argument("--p0", type=_float_list, default=None, help="initial momenta")
     p.add_argument("--t-end", type=float, default=None, help="integration time")
@@ -124,8 +124,8 @@ def build_parser() -> _Parser:
                    help="output samples (at least 2)")
     p.add_argument("--rtol", type=float, default=1e-12, help="integrator tolerance")
     p.add_argument("--init-json", default=None,
-                   help="JSON model file; its n, kappa, dof, d override the "
-                        "flags, its other fields only fill unset flags")
+                   help="JSON model file; its fields (model, n, kappa, dof, masses, "
+                        "d, q0, p0, t_end) fill the flags not typed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check-subspace", help="acceleration leakage of an invariant subspace")
@@ -228,11 +228,8 @@ def cmd_sweep(args, report: RunReport):
         "row_count": len(result.rows),
     })
     report.write_json("sweep.json", payload, "sweep")
-    report.write_csv(
-        "sweep.csv",
-        ("rho1", "rho2", "which_Mi", "m3_at_max", "trace_max"),
-        [(row[0], row[1], row[2], row[3], row[4]) for row in result.rows],
-    )
+    report.write_csv("sweep.csv", ("rho1", "rho2", "which_Mi", "m3_at_max", "trace_max"),
+                     result.rows)
 
 
 def cmd_pairs(args, report: RunReport):
@@ -331,16 +328,20 @@ def _build_chart(args):
     return chart, None, None, None
 
 
+# built-in values of the model flags of simulate: a typed flag wins, the
+# --init-json file fills the flags not typed, and these fill the rest
+_SIMULATE_DEFAULTS = {"model": None, "n": 4, "kappa": 1.0, "dof": 3, "masses": None,
+                      "d": 2, "q0": None, "p0": None, "t_end": None}
+
+
 def cmd_simulate(args, report: RunReport):
-    if args.init_json:
-        spec = _read_json_object(args.init_json, "--init-json")
-        # the JSON is the model definition; model/state flags fill only gaps
-        for key in ("n", "kappa", "dof", "d"):
-            if key in spec:
-                setattr(args, key, spec[key])
-        for key in ("model", "masses", "q0", "p0", "t_end"):
-            if key in spec and getattr(args, key) is None:
-                setattr(args, key, spec[key])
+    spec = _read_json_object(args.init_json, "--init-json") if args.init_json else {}
+    for key, default in _SIMULATE_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, spec.get(key, default))
+    # the manifest records the model as run, not only the flags typed
+    report.params.update({key: getattr(args, key) for key in _SIMULATE_DEFAULTS
+                          if getattr(args, key) is not None})
     if args.model is None:
         raise CliUsageError("pick --model or supply --init-json with a model")
     chart, q0_default, p0_default, period = _build_chart(args)
@@ -371,20 +372,22 @@ def cmd_simulate(args, report: RunReport):
     report.write_json("simulate.json", payload, "simulate")
     header = (["t"] + [f"q{i}" for i in range(chart.dof)]
               + [f"p{i}" for i in range(chart.dof)] + record.integral_names)
-    rows = [
-        [record.times[i], *record.states[i], *record.integral_series[i]]
-        for i in range(record.times.size)
-    ]
-    report.write_csv("trajectory.csv", header, rows)
+    rows = np.column_stack([record.times, record.states, record.integral_series])
+    report.write_csv("trajectory.csv", header, rows.tolist())
 
 
 def cmd_check_subspace(args, report: RunReport):
     if args.json_file:
         spec = _read_json_object(args.json_file, "--json")
-        basis = np.asarray(spec["basis_rows"], dtype=float).T
-        sub = models.InvariantSubspace(
-            MassVector(np.asarray(spec["masses"], dtype=float)),
-            int(spec["d"]), basis, spec.get("label", "custom"))
+        missing = [key for key in ("masses", "d", "basis_rows") if key not in spec]
+        if missing:
+            raise CliUsageError(f"--json lacks {', '.join(missing)}")
+        try:
+            sub = models.InvariantSubspace(
+                MassVector(np.asarray(spec["masses"], dtype=float)), int(spec["d"]),
+                np.asarray(spec["basis_rows"], dtype=float).T, spec.get("label", "custom"))
+        except (TypeError, ValueError) as exc:
+            raise CliUsageError(f"--json: {exc}") from exc
     elif args.builtin == "five-body":
         sub = models.five_body_subspace()
     elif args.builtin == "n3":
@@ -426,26 +429,26 @@ def main(argv=None) -> int:
     params = {k: str(v) if isinstance(v, Fraction) else v for k, v in params.items()}
     try:
         report = RunReport(args.out, args.subcommand, params)
-    except OSError as exc:
-        print(f"nbodylab: cannot create run directory: {exc}", file=sys.stderr)
-        return 1
-    try:
-        args.func(args, report)
+        try:
+            args.func(args, report)
+        except NBodyError as exc:
+            detail = {"type": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, NoConvergenceError) and exc.best_residual is not None:
+                detail["best_residual"] = float(exc.best_residual)
+            report.write_json("error.json", {
+                "subcommand": args.subcommand,
+                "parameters": params,
+                "error": detail,
+            }, "error")
+            print(f"nbodylab {args.subcommand}: {detail['type']}: {exc}", file=sys.stderr)
+            return 2
+        report.finish()
     except CliUsageError as exc:
         print(f"nbodylab {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
-    except NBodyError as exc:
-        detail = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NoConvergenceError) and exc.best_residual is not None:
-            detail["best_residual"] = float(exc.best_residual)
-        report.write_json("error.json", {
-            "subcommand": args.subcommand,
-            "parameters": params,
-            "error": detail,
-        }, "error")
-        print(f"nbodylab {args.subcommand}: {detail['type']}: {exc}", file=sys.stderr)
-        return 2
-    report.finish()
+    except OSError as exc:
+        print(f"nbodylab: cannot create run directory: {exc}", file=sys.stderr)
+        return 1
     print(report.directory)
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -222,11 +223,18 @@ def _grid_axes(rho_max, cells):
     return 1.0 + step * np.arange(1, cells + 1)
 
 
+def _feasible_rows(chunk):
+    """Rows (rho1, rho2, which, m3, trace) of a _sweep_chunk's feasible cells."""
+    r1, r2, feas, best, m3n, which = chunk
+    return zip(*(col[feas].tolist() for col in (r1, r2, which, m3n, best)))
+
+
 def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None,
-                refine: bool = True, keep_rows: bool = True) -> TraceSweepResult:
+                refine: bool = True) -> TraceSweepResult:
     """Sweep boundary trace maxima over the grid (1, rho_max]^2, rho1 >= rho2.
 
-    Raises EmptyFeasibleSetError when no cell has a positive-mass segment.
+    The argmax is the first row with the largest trace.  Raises
+    EmptyFeasibleSetError when no cell has a positive-mass segment.
     """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
@@ -240,51 +248,34 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_chunk, pieces))
     else:
-        results = [_sweep_chunk(p) for p in pieces]
+        results = map(_sweep_chunk, pieces)  # one chunk's arrays alive at a time
 
     rows = []
-    violations = []
     empty = 0
-    gmax = -np.inf
-    argmax = (math.nan,) * 4
-    for cr1, cr2, feas, best, m3n, which in results:
-        empty += int((~feas).sum())
-        idx = np.flatnonzero(feas)
-        for j in idx:
-            row = (float(cr1[j]), float(cr2[j]), int(which[j]),
-                   float(m3n[j]), float(best[j]))
-            if keep_rows:
-                rows.append(row)
-            if best[j] >= 70.0:
-                violations.append(row)
-            if best[j] > gmax:
-                gmax = float(best[j])
-                argmax = (row[0], row[1], row[3], row[2])
-
-    if not np.isfinite(gmax):
+    for res in results:
+        empty += int((~res[2]).sum())
+        rows.extend(_feasible_rows(res))
+    if not rows:
         raise EmptyFeasibleSetError(
             f"no cell of the {cells} x {cells} grid up to rho_max={rho_max} "
             "has positive masses"
         )
+    top = max(rows, key=itemgetter(4))
     if refine:
         span = (rho_max - 1.0) / cells
-        c1, c2 = argmax[0], argmax[1]
         for _ in range(3):
-            a1 = np.clip(np.linspace(c1 - span, c1 + span, 25), 1.0 + 1e-9, rho_max)
-            a2 = np.clip(np.linspace(c2 - span, c2 + span, 25), 1.0 + 1e-9, rho_max)
+            a1 = np.clip(np.linspace(top[0] - span, top[0] + span, 25), 1.0 + 1e-9, rho_max)
+            a2 = np.clip(np.linspace(top[1] - span, top[1] + span, 25), 1.0 + 1e-9, rho_max)
             l1, l2 = np.meshgrid(a1, a2, indexing="ij")
             keep = l1 >= l2
-            cr1, cr2, feas, best, m3n, which = _sweep_chunk((l1[keep], l2[keep]))
-            if feas.any():
-                j = int(np.argmax(np.where(feas, best, -np.inf)))
-                if best[j] > gmax:
-                    gmax = float(best[j])
-                    argmax = (float(cr1[j]), float(cr2[j]), float(m3n[j]), int(which[j]))
-                    c1, c2 = argmax[0], argmax[1]
+            # top comes first, so a tie keeps it
+            top = max((top, *_feasible_rows(_sweep_chunk((l1[keep], l2[keep])))),
+                      key=itemgetter(4))
             span /= 12.0
 
-    return TraceSweepResult(rho_max, cells, gmax, argmax, rows, violations,
-                            empty, refine)
+    violations = [row for row in rows if row[4] >= 70.0]
+    return TraceSweepResult(rho_max, cells, top[4], (top[0], top[1], top[3], top[2]),
+                            rows, violations, empty, refine)
 
 
 # ---------------------------------------------------------------------------

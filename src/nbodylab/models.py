@@ -221,6 +221,9 @@ class InvariantSubspace:
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
+        if self.basis.ndim != 2 or self.basis.shape[0] != self.masses.n * self.d:
+            raise ValueError("each subspace basis vector needs "
+                             f"{self.masses.n * self.d} coordinates (bodies x d)")
         gram = self.basis.T @ self.basis
         if np.max(np.abs(gram - np.eye(self.basis.shape[1]))) > 1e-12:
             raise ValueError("subspace basis is not orthonormal")

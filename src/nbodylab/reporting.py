@@ -72,13 +72,16 @@ def params_digest(subcommand: str, params: dict) -> str:
 
 
 class RunReport:
-    """Output directory of one CLI run plus its manifest bookkeeping."""
+    """Output directory of one CLI run plus its manifest bookkeeping.
+
+    The run directory is made by its first file, so a usage error leaves none.
+    """
 
     def __init__(self, base: str | Path, subcommand: str, params: dict):
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
         name = f"{subcommand}-{stamp}-{params_digest(subcommand, params)}"
+        Path(base).mkdir(parents=True, exist_ok=True)
         self.directory = Path(base) / name
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
         self.params = params
         self._t0 = time.monotonic()
@@ -86,6 +89,7 @@ class RunReport:
 
     def write_json(self, name: str, payload: dict, schema_name: str) -> Path:
         validate_payload(payload, schema_name)
+        self.directory.mkdir(exist_ok=True)
         path = self.directory / name
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(payload, handle, indent=2)
@@ -94,15 +98,16 @@ class RunReport:
         return path
 
     def write_csv(self, name: str, header, rows) -> Path:
+        """Write rows of plain Python or numpy float64/int scalars, or strings.
+
+        The csv module writes each float as its shortest repr (exact round trip).
+        """
+        self.directory.mkdir(exist_ok=True)
         path = self.directory / name
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                    for v in row
-                ])
+            writer.writerows(rows)
         self._outputs.append(path)
         return path
 
@@ -114,9 +119,4 @@ class RunReport:
             "wall_time_s": time.monotonic() - self._t0,
             "outputs": {p.name: sha256_file(p) for p in self._outputs},
         }
-        validate_payload(manifest, "manifest")
-        path = self.directory / "manifest.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-        return path
+        return self.write_json("manifest.json", manifest, "manifest")

@@ -126,8 +126,7 @@ def test_criterion_05_order3_polynomial_certificates():
 
 def test_criterion_06_trace_sweep_bound():
     started = time.perf_counter()
-    result = trace_sweep(rho_max=20.0, cells=400, jobs=8, refine=True,
-                         keep_rows=False)
+    result = trace_sweep(rho_max=20.0, cells=400, jobs=8, refine=True)
     assert 69.5 <= result.global_max < 70.0
     assert abs(result.global_max - 69.74) <= 0.1
     assert result.violations == []

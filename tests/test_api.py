@@ -1,7 +1,11 @@
-"""Public API: every exported name resolves and the package exports only those."""
+"""Public API: every exported name resolves and the package exports only those.
+
+Also checks that every function the benchmark's tracer wraps still exists.
+"""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,24 @@ def test_package_imports_only_exported_names():
         mod = importlib.import_module(f"nbodylab.{module}")
         assert name in mod.__all__, f"{module}.{name} is not in its __all__"
         assert getattr(nbodylab, name) is getattr(mod, name)
+
+
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_functions_resolve():
+    # perfbench/run.py --trace 1 wraps these; a renamed or moved one breaks it
+    tracing = _perfbench_tracing()
+    for _label, owner, attr in tracing.TRACED:
+        assert owner in tracing.MODULES
+        mod = importlib.import_module(f"nbodylab.{owner}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(mod, cls_name)), f"{owner}.{attr}"
+        else:
+            assert callable(getattr(mod, attr, None)), f"{owner}.{attr}"

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -105,6 +106,25 @@ def test_sweep_small_grid_writes_rows_and_digests(tmp_path, capsys):
     check_manifest(run_dir)
 
 
+def test_sweep_output_bytes_are_frozen(tmp_path, capsys):
+    run_dir = run_ok(["sweep", "--rho-max", "6", "--cells", "60", "--no-refine",
+                      "--out", str(tmp_path)], capsys)
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "sweep.json")}
+    assert digests == {
+        "sweep.csv": "cf6a46bff8bfd5a5bd03824b126aabce22e9662cb043b1fbd30f0a204bfee467",
+        "sweep.json": "fc350e715e9777bf361bf388d14d731ffa1d1775d8686558feb4a1843d67ff0d",
+    }
+
+
+def test_write_csv_writes_floats_as_shortest_repr(tmp_path):
+    report = RunReport(tmp_path, "sweep", {})
+    path = report.write_csv("t.csv", ("a", "b", "c", "d", "e", "f"), [
+        (np.float64(0.1), 1e-17, 1.2345678901234568e+17, -0.0, np.int64(3), ""),
+    ])
+    assert path.read_text() == "a,b,c,d,e,f\n0.1,1e-17,1.2345678901234568e+17,-0.0,3,\n"
+
+
 def test_sweep_runs_are_byte_identical(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):
@@ -196,6 +216,19 @@ def test_simulate_init_json_defines_the_model(tmp_path, capsys):
     assert payload["samples"] == 51
 
 
+def test_simulate_typed_flag_wins_over_init_json(tmp_path, capsys):
+    init = tmp_path / "orbit.json"
+    init.write_text(json.dumps({"model": "n3", "n": 3}))
+    run_dir = run_ok(["simulate", "--init-json", str(init), "--n", "5",
+                      "--t-end", "1", "--samples", "11",
+                      "--out", str(tmp_path / "runs")], capsys)
+    payload = json.loads((run_dir / "simulate.json").read_text())
+    assert payload["chart"] == "5+3 chart"
+    manifest = check_manifest(run_dir)
+    assert manifest["parameters"]["n"] == 5
+    assert manifest["parameters"]["model"] == "n3"
+
+
 def test_check_subspace_builtin_five_body(tmp_path, capsys):
     run_dir = run_ok(["check-subspace", "--builtin", "five-body",
                       "--out", str(tmp_path)], capsys)
@@ -271,6 +304,40 @@ def test_check_subspace_missing_json_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "runs")])
     assert code == 1
     assert "cannot read --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"masses": [1, 1]}, "--json lacks d, basis_rows"),
+    ({"d": 1, "basis_rows": [[1, 0]]}, "--json lacks masses"),
+    ({"masses": [1, 1], "d": 1, "basis_rows": [[1, 1]]}, "not orthonormal"),
+    ({"masses": [1, 1, 1], "d": 1, "basis_rows": [[1, 0]]}, "needs 3 coordinates"),
+    ({"masses": [1, 1], "d": None, "basis_rows": [[1, 0]]}, "--json: "),
+])
+def test_check_subspace_bad_json_exits_1(tmp_path, capsys, spec, message):
+    custom = tmp_path / "subspace.json"
+    custom.write_text(json.dumps(spec))
+    code = main(["check-subspace", "--json", str(custom), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("nbodylab check-subspace: error: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["simulate", "--init-json", "absent.json"], None),
+    (["check-subspace", "--json", "subspace.json"], {"masses": [1, 1]}),
+    (["check-subspace", "--json", "subspace.json"],
+     {"masses": [1, 1], "d": 1, "basis_rows": [[1, 1]]}),
+    (["sweep", "--cells", "1"], None),
+])
+def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv, spec):
+    monkeypatch.chdir(tmp_path)
+    if spec is not None:
+        (tmp_path / "subspace.json").write_text(json.dumps(spec))
+    out = tmp_path / "runs"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert [p for p in out.glob("*") if p.is_dir()] == []
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

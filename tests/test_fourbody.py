@@ -121,6 +121,20 @@ def test_small_sweep_summary():
     assert all(1 <= row[2] <= 4 for row in res.rows)
 
 
+def test_sweep_argmax_is_first_row_with_largest_trace():
+    res = trace_sweep(rho_max=6.0, cells=60, jobs=None, refine=False)
+    traces = [row[4] for row in res.rows]
+    first = res.rows[traces.index(max(traces))]
+    assert res.argmax == (first[0], first[1], first[3], first[2])
+    assert res.global_max == first[4]
+
+
+@pytest.mark.parametrize("cells", [25, 60])
+def test_sweep_rows_and_empty_cells_cover_the_triangle(cells):
+    res = trace_sweep(rho_max=6.0, cells=cells, jobs=None, refine=False)
+    assert len(res.rows) + res.empty_cells == cells * (cells + 1) // 2
+
+
 def test_sweep_rows_round_trip_through_trace():
     res = trace_sweep(rho_max=6.0, cells=40, jobs=None, refine=False)
     rng = np.random.default_rng(42)
