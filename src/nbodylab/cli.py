@@ -67,6 +67,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+_SIMULATE_MODELS = ("five-body", "n3", "kepler", "full")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nbodylab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nbodylab {__version__}")
@@ -110,7 +113,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_planar)
 
     p = sub.add_parser("simulate", help="integrate a model chart and report drifts")
-    p.add_argument("--model", choices=("five-body", "n3", "kepler", "full"),
+    p.add_argument("--model", choices=_SIMULATE_MODELS,
                    default=None, help="which chart to integrate")
     p.add_argument("--n", type=int, help="polygon size for the n3 model (default 4)")
     p.add_argument("--kappa", type=float, help="kepler strength (default 1)")
@@ -328,19 +331,52 @@ def _build_chart(args):
     return chart, None, None, None
 
 
-# built-in values of the model flags of simulate: a typed flag wins, the
-# --init-json file fills the flags not typed, and these fill the rest
-_SIMULATE_DEFAULTS = {"model": None, "n": 4, "kappa": 1.0, "dof": 3, "masses": None,
-                      "d": 2, "q0": None, "p0": None, "t_end": None}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# the model fields of simulate: a typed flag wins, the --init-json file fills
+# the flags not typed, and the built-in default fills the rest.  Each field
+# also names what its --init-json value must hold; the model is checked first.
+_SIMULATE_FIELDS = {
+    "model": (None, lambda v: v in _SIMULATE_MODELS,
+              f"one of {', '.join(_SIMULATE_MODELS)}"),
+    "n": (4, _is_int, "an integer"),
+    "kappa": (1.0, _is_number, "a finite number"),
+    "dof": (3, _is_int, "an integer"),
+    "masses": (None, _is_number_list, "a list of finite numbers"),
+    "d": (2, _is_int, "an integer"),
+    "q0": (None, _is_number_list, "a list of finite numbers"),
+    "p0": (None, _is_number_list, "a list of finite numbers"),
+    "t_end": (None, _is_number, "a finite number"),
+}
+
+
+def _read_init_json(path) -> dict:
+    """The --init-json object, after checking its model name and field types."""
+    spec = _read_json_object(path, "--init-json")
+    for key, (_, check, kind) in _SIMULATE_FIELDS.items():
+        if spec.get(key) is not None and not check(spec[key]):
+            raise CliUsageError(f"--init-json: {key} must be {kind}, not {spec[key]!r}")
+    return spec
 
 
 def cmd_simulate(args, report: RunReport):
-    spec = _read_json_object(args.init_json, "--init-json") if args.init_json else {}
-    for key, default in _SIMULATE_DEFAULTS.items():
+    spec = _read_init_json(args.init_json) if args.init_json else {}
+    for key, (default, _, _) in _SIMULATE_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, spec.get(key, default))
     # the manifest records the model as run, not only the flags typed
-    report.params.update({key: getattr(args, key) for key in _SIMULATE_DEFAULTS
+    report.params.update({key: getattr(args, key) for key in _SIMULATE_FIELDS
                           if getattr(args, key) is not None})
     if args.model is None:
         raise CliUsageError("pick --model or supply --init-json with a model")

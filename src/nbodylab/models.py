@@ -9,7 +9,10 @@ its three-dimensional invariant subspace only one inter-cluster distance
 survives and the flow is a central-force problem.
 
 The simulator integrates Hamilton's equations for small chart Hamiltonians
-(and for full n-body systems) with conservation diagnostics attached.
+(and for full n-body systems) with conservation diagnostics attached.  Every
+chart's gradient raises ``CollisionError`` when a surviving separation is
+``COLLISION_FLOOR`` (1e-8, from ``potential``) or smaller; ``simulate`` turns
+such a collision in the middle of a run into ``StepFailureError``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import CollisionError, StepFailureError
 from .potential import (
+    COLLISION_FLOOR,
     Configuration,
     MassVector,
     acceleration,
@@ -58,8 +62,6 @@ __all__ = [
     "five_body_midpoints",
 ]
 
-_SEPARATION_FLOOR = 1e-8
-
 FIVE_BODY_MASSES = MassVector(np.array([-0.25, 1.0, 1.0, 1.0, 1.0]))
 
 # pair strength of each decoupled Kepler subsystem of the 5-body chart
@@ -78,7 +80,7 @@ def restricted_potential_5body(q4) -> float:
     q21, q22, q31, q32 = np.asarray(q4, dtype=float)
     s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
     s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
-    if min(s1, s2) <= _SEPARATION_FLOOR**2:
+    if min(s1, s2) <= COLLISION_FLOOR**2:
         raise CollisionError("chart point collapses a surviving distance")
     return s1**-0.5 + s2**-0.5
 
@@ -87,7 +89,7 @@ def _restricted_gradient_5body(q4):
     q21, q22, q31, q32 = q4
     s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
     s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
-    if min(s1, s2) <= _SEPARATION_FLOOR**2:
+    if min(s1, s2) <= COLLISION_FLOOR**2:
         raise CollisionError("chart point collapses a surviving distance")
     f1 = -(s1 ** -1.5)
     f2 = -(s2 ** -1.5)
@@ -197,7 +199,7 @@ def n3_effective_potential(n: int, state3) -> float:
     """
     s = np.asarray(state3, dtype=float)
     d = float(np.linalg.norm(s))
-    if d <= _SEPARATION_FLOOR:
+    if d <= COLLISION_FLOOR:
         raise CollisionError("chart point collapses the cluster distance")
     return 8.0 * n * polygon_alpha(n) / d
 
@@ -408,14 +410,14 @@ class CentralForceChart:
 
     def potential(self, q) -> float:
         r = float(np.linalg.norm(q))
-        if r <= _SEPARATION_FLOOR:
+        if r <= COLLISION_FLOOR:
             raise CollisionError("central-force chart at the origin")
         return self.kappa / r
 
     def gradient(self, q) -> np.ndarray:
         qa = np.asarray(q, dtype=float)
         r = float(np.linalg.norm(qa))
-        if r <= _SEPARATION_FLOOR:
+        if r <= COLLISION_FLOOR:
             raise CollisionError("central-force chart at the origin")
         return -self.kappa * qa / r**3
 
@@ -506,23 +508,27 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     """Integrate Hamilton's equations on a chart with an 8th-order scheme.
 
     Adaptive embedded Runge-Kutta of order 8 with tight tolerances keeps the
-    declared first integrals near machine accuracy; a separation floor inside
-    the right-hand side converts near-collisions into StepFailureError.
+    declared first integrals near machine accuracy.  An initial state at or
+    below the collision floor raises CollisionError; the chart gradient is the
+    right-hand side's only collision guard, and a CollisionError from it in
+    the middle of the run becomes StepFailureError.
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if q0.shape != (chart.dof,) or p0.shape != (chart.dof,):
         raise ValueError(f"state must have {chart.dof} positions and momenta")
-    if chart.min_separation(q0) <= _SEPARATION_FLOOR:
-        raise CollisionError("initial state below the separation floor")
+    if chart.min_separation(q0) <= COLLISION_FLOOR:
+        raise CollisionError("initial state at or below the collision floor")
     nev = [0]
 
     def rhs(_t, state):
         nev[0] += 1
         q, p = state[: chart.dof], state[chart.dof:]
-        if chart.min_separation(q) <= _SEPARATION_FLOOR:
-            raise StepFailureError("separation floor reached during a step")
-        return np.concatenate([p / chart.dof_masses, chart.gradient(q)])
+        try:
+            grad = chart.gradient(q)
+        except CollisionError as exc:
+            raise StepFailureError(f"collision floor reached during a step: {exc}") from exc
+        return np.concatenate([p / chart.dof_masses, grad])
 
     sol = solve_ivp(
         rhs,
@@ -565,7 +571,7 @@ def conic_residual(points) -> float:
     """
     pts = np.asarray(points, dtype=float)
     r = np.sqrt((pts**2).sum(axis=1))
-    if np.min(r) <= _SEPARATION_FLOOR:
+    if np.min(r) <= COLLISION_FLOOR:
         raise CollisionError("conic sample at the focus")
     u = 1.0 / r
     theta = np.arctan2(pts[:, 1], pts[:, 0])

@@ -6,11 +6,14 @@ The potential of a configuration ``q`` with masses ``m`` is
 
 which is homogeneous of degree -1 in the coordinates.  Everything here is a
 pure function of masses and coordinates; masses may be signed, and the only
-hard domain restriction is the pairwise collision floor.
+hard domain restriction is the pairwise collision floor: every kernel here
+raises ``CollisionError`` when two bodies are ``COLLISION_FLOOR`` (1e-8) or
+closer.  It is the package's one floor; the model charts use it too.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +33,7 @@ __all__ = [
     "third_contract",
 ]
 
-COLLISION_FLOOR = 1e-14
+COLLISION_FLOOR = 1e-8
 
 # |sum(m) - 1| below this counts as normalized
 _SUM_TOL = 1e-12
@@ -108,12 +111,22 @@ def as_coord_array(coords) -> np.ndarray:
     return Configuration(np.asarray(coords, dtype=float)).coords
 
 
+# bounded: one entry holds about 9 n^2 bytes
+@functools.lru_cache(maxsize=32)
+def _pair_index(n: int):
+    """Upper-triangle pair indices and off-diagonal mask of n bodies, read-only."""
+    iu = np.triu_indices(n, k=1)
+    off = ~np.eye(n, dtype=bool)
+    for a in (*iu, off):
+        a.flags.writeable = False
+    return iu, off
+
+
 def _pair_data(q: np.ndarray):
-    """Pairwise separations; raises below the collision floor."""
+    """Pairwise separations; raises at or below the collision floor."""
     diff = q[:, None, :] - q[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    n = q.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu, _ = _pair_index(q.shape[0])
     dmin = dist[iu].min()
     if dmin <= COLLISION_FLOOR:
         pair = np.unravel_index(np.argmin(dist[iu]), (len(iu[0]),))
@@ -130,8 +143,7 @@ def eval_potential(masses, coords) -> float:
     m = as_mass_array(masses)
     q = as_coord_array(coords)
     _, dist = _pair_data(q)
-    n = q.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu, _ = _pair_index(q.shape[0])
     return float(np.sum(m[iu[0]] * m[iu[1]] / dist[iu]))
 
 
@@ -144,9 +156,8 @@ def gradient(masses, coords) -> np.ndarray:
     m = as_mass_array(masses)
     q = as_coord_array(coords)
     diff, dist = _pair_data(q)
-    n = q.shape[0]
+    _, off = _pair_index(q.shape[0])
     inv3 = np.zeros_like(dist)
-    off = ~np.eye(n, dtype=bool)
     inv3[off] = dist[off] ** -3
     w = (m[:, None] * m[None, :]) * inv3
     return -np.einsum("ij,ijk->ik", w, diff)
@@ -162,7 +173,7 @@ def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mass-scaled Hessian W with rows grouped by body: index (i, a) -> i*d + a."""
     diff, dist = _pair_data(q)
     n, d = q.shape
-    off = ~np.eye(n, dtype=bool)
+    _, off = _pair_index(n)
     inv3 = np.zeros_like(dist)
     inv5 = np.zeros_like(dist)
     inv3[off] = dist[off] ** -3
@@ -260,7 +271,7 @@ def third_contract(masses, coords, x, y, z) -> float:
     Y = _as_directions(n, d, y)
     Z = _as_directions(n, d, z)
     diff, dist = _pair_data(q)
-    iu = np.triu_indices(n, k=1)
+    iu, _ = _pair_index(n)
     u = diff[iu]
     r = dist[iu]
     dx = (X[:, None, :] - X[None, :, :])[iu]

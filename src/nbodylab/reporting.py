@@ -1,7 +1,10 @@
 """Run directories, schema-validated JSON reports, and CSV emission.
 
 Every CLI invocation lands in its own directory named by subcommand,
-UTC timestamp, and a short parameter digest.  JSON payloads are validated
+UTC timestamp, and a short parameter digest.  The run claims that name with
+an exclusive ``mkdir`` when it writes its first file; if another run already
+holds it, the first free ``-2``, ``-3``, ... suffix is taken, so two identical
+runs in the same second never share a directory.  JSON payloads are validated
 against the schemas shipped under ``nbodylab/schemas`` before they reach
 disk; floats round-trip exactly because both the JSON and CSV writers emit
 Python's shortest repr (up to 17 significant digits).
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import time
 from importlib import resources
@@ -74,7 +78,8 @@ def params_digest(subcommand: str, params: dict) -> str:
 class RunReport:
     """Output directory of one CLI run plus its manifest bookkeeping.
 
-    The run directory is made by its first file, so a usage error leaves none.
+    The run directory is claimed by its first file, so a usage error leaves
+    none; until then ``directory`` is the name the run will try first.
     """
 
     def __init__(self, base: str | Path, subcommand: str, params: dict):
@@ -86,11 +91,26 @@ class RunReport:
         self.params = params
         self._t0 = time.monotonic()
         self._outputs: list[Path] = []
+        self._claimed = False
+
+    def _path(self, name: str) -> Path:
+        """Path of an output file, claiming the run directory on first use."""
+        if not self._claimed:
+            base = self.directory
+            for k in itertools.count(1):
+                candidate = base if k == 1 else base.with_name(f"{base.name}-{k}")
+                try:
+                    candidate.mkdir()
+                except FileExistsError:
+                    continue
+                self.directory = candidate
+                self._claimed = True
+                break
+        return self.directory / name
 
     def write_json(self, name: str, payload: dict, schema_name: str) -> Path:
         validate_payload(payload, schema_name)
-        self.directory.mkdir(exist_ok=True)
-        path = self.directory / name
+        path = self._path(name)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
@@ -102,8 +122,7 @@ class RunReport:
 
         The csv module writes each float as its shortest repr (exact round trip).
         """
-        self.directory.mkdir(exist_ok=True)
-        path = self.directory / name
+        path = self._path(name)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nbodylab import reporting
 from nbodylab.cli import main
 from nbodylab.reporting import RunReport, validate_payload
 
@@ -125,6 +127,18 @@ def test_write_csv_writes_floats_as_shortest_repr(tmp_path):
     assert path.read_text() == "a,b,c,d,e,f\n0.1,1e-17,1.2345678901234568e+17,-0.0,3,\n"
 
 
+def test_same_second_runs_get_their_own_directories(tmp_path, capsys, monkeypatch):
+    stamp = time.gmtime()
+    monkeypatch.setattr(reporting.time, "gmtime", lambda: stamp)
+    argv = ["ek", "--k", "5", "--rho", "1", "--out", str(tmp_path)]
+    first, second = run_ok(argv, capsys), run_ok(argv, capsys)
+    assert second == first.with_name(f"{first.name}-2")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
+    for run_dir in (first, second):
+        manifest = check_manifest(run_dir)
+        assert sorted(manifest["outputs"]) == ["ek.json", "masses.csv"]
+
+
 def test_sweep_runs_are_byte_identical(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):
@@ -201,6 +215,30 @@ def test_simulate_five_body_trajectory_columns(tmp_path, capsys):
                           "energy"]
     assert len(lines) == 102
     check_manifest(run_dir)
+
+
+_FULL_STATE = ["--q0", "1,0,-0.5,0.8,-0.4,-0.9", "--p0", "0,0.5,-0.45,-0.2,0.4,-0.3"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["simulate", "--model", "five-body", "--t-end", "5", "--samples", "51"], {
+        "trajectory.csv": "71a76b3bbc0e8ee39ac407c259084fe35fb95b1462bece602f0772c671e14c07",
+        "simulate.json": "c1b3c584e46788ff6053dc6c4336fcf080fe7c13a9204ae50faf14bfc875038c",
+    }),
+    (["simulate", "--model", "full", "--masses", "1,1,1", *_FULL_STATE,
+      "--t-end", "2", "--samples", "51"], {
+        "trajectory.csv": "32b4bde437efd35e4ac7ccfb43cf11d8f3b577e3a18c3caa8e0b9f7f000bde41",
+        "simulate.json": "c3b4c67e457fa985489affcd008ae8e1d492598297522606ffa7cd4146024bfd",
+    }),
+    (["pairs", "--cells", "40"], {
+        "pairs.json": "2cb4eb36e6045c1b2b8f0f89016b93eebe9d9e24db341543bdae518bd447bbeb",
+    }),
+], ids=["simulate-five-body", "simulate-full", "pairs-40"])
+def test_output_bytes_are_frozen(tmp_path, capsys, argv, expected):
+    run_dir = run_ok([*argv, "--out", str(tmp_path)], capsys)
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in expected}
+    assert digests == expected
 
 
 def test_simulate_init_json_defines_the_model(tmp_path, capsys):
@@ -297,6 +335,22 @@ def test_simulate_unreadable_init_json_exits_1(tmp_path, capsys, content, messag
     code = main(["simulate", "--init-json", str(init), "--out", str(tmp_path / "runs")])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"model": "n3", "n": "5"}, "--init-json: n must be an integer, not '5'"),
+    ({"model": "bogus", "masses": [1, 1], "t_end": 1},
+     "--init-json: model must be one of five-body, n3, kepler, full, not 'bogus'"),
+], ids=["n-as-string", "bogus-model"])
+def test_simulate_mistyped_init_json_exits_1(tmp_path, capsys, spec, message):
+    init = tmp_path / "orbit.json"
+    init.write_text(json.dumps(spec))
+    out = tmp_path / "runs"
+    code = main(["simulate", "--init-json", str(init), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"nbodylab simulate: error: {message}\n"
+    assert [p for p in out.glob("*") if p.is_dir()] == []
 
 
 def test_check_subspace_missing_json_exits_1(tmp_path, capsys):

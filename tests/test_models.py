@@ -355,6 +355,50 @@ def test_radial_infall_hits_the_separation_floor():
         simulate(CentralForceChart(1.0, dof=2), [1.0, 0.0], [-0.9, 0.0], 5.0)
 
 
+def _five_body_radial_infall():
+    # plane 1 falls straight in; plane 2 stays on its circle
+    y0 = np.array([1.0, 0.0, 0.0, 1.3])
+    w0 = np.array([-0.6, 0.0, -math.sqrt(FIVE_BODY_KAPPA / 1.3), 0.0])
+    mix = decouple_matrix()
+    return PairedOrbitsChart(), mix.T @ y0, mix.T @ w0
+
+
+def _rotated_central_infall():
+    theta = 0.7
+    rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
+                    [math.sin(theta), math.cos(theta), 0.0],
+                    [0.0, 0.0, 1.0]])
+    return (RotatedChart(CentralForceChart(2.0, dof=3), rot),
+            np.array([1.0, 0.5, 0.2]), np.zeros(3))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (NBodyChart([1.0, 1.0], 2), np.array([-1.0, 0.0, 1.0, 0.0]), np.zeros(4)),
+    _five_body_radial_infall,
+    _rotated_central_infall,
+], ids=["head-on-pair", "five-body-plane-infall", "rotated-central-infall"])
+def test_mid_run_collision_is_a_step_failure_from_the_gradient(case):
+    chart, q0, p0 = case()
+    with pytest.raises(StepFailureError) as info:
+        simulate(chart, q0, p0, 5.0)
+    # the chart gradient's own collision check stopped the run
+    assert isinstance(info.value.__cause__, CollisionError)
+
+
+@pytest.mark.parametrize("chart,q0", [
+    (CentralForceChart(2.0, dof=2), [1.0, 0.0]),
+    (PairedOrbitsChart(), [1.0, 0.2, -0.3, 0.9]),
+    (NBodyChart([1.0, 1.0, 1.0], 2), [1.0, 0.0, -0.5, 0.8, -0.4, -0.9]),
+], ids=["central-force", "five-body", "three-body"])
+def test_simulate_checks_min_separation_once(monkeypatch, chart, q0):
+    calls = []
+    original = chart.min_separation
+    monkeypatch.setattr(chart, "min_separation",
+                        lambda q: calls.append(q) or original(q))
+    simulate(chart, q0, np.zeros(chart.dof), 0.5, samples=11)
+    assert len(calls) == 1
+
+
 def test_initial_collision_is_rejected():
     with pytest.raises(CollisionError):
         simulate(PairedOrbitsChart(), [1.0, 0.0, 1.0, 0.0],

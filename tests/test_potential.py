@@ -8,6 +8,7 @@ from nbodylab.errors import CollisionError
 from nbodylab.potential import (
     Configuration,
     MassVector,
+    _pair_index,
     acceleration,
     eval_potential,
     gradient,
@@ -171,6 +172,28 @@ def test_collisions_raise():
         eval_potential(masses, coords)
     with pytest.raises(CollisionError):
         gradient(masses, coords)
+    # the one floor is 1e-8: every kernel rejects 5e-9 and accepts 2e-8
+    x = np.ones((3, 2))
+    kernels = (eval_potential, gradient, hessian_w,
+               lambda m, c: third_contract(m, c, x, x, x))
+    near = Configuration(np.array([[0.0, 0.0], [5e-9, 0.0], [1.0, 0.0]]))
+    for kernel in kernels:
+        with pytest.raises(CollisionError, match="floor 1.0e-08"):
+            kernel(masses, near)
+    apart = Configuration(np.array([[0.0, 0.0], [2e-8, 0.0], [1.0, 0.0]]))
+    for kernel in kernels:
+        kernel(masses, apart)
+
+
+def test_pair_index_is_cached_and_read_only():
+    (i, j), off = _pair_index(4)
+    assert _pair_index(4)[1] is off
+    npt.assert_array_equal(i, np.triu_indices(4, k=1)[0])
+    npt.assert_array_equal(j, np.triu_indices(4, k=1)[1])
+    npt.assert_array_equal(off, ~np.eye(4, dtype=bool))
+    for a in (i, j, off):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
 
 
 def test_mass_vector_and_configuration_basics():
