@@ -67,7 +67,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-_SIMULATE_MODELS = ("five-body", "n3", "kepler", "full")
+# the chart fields each model reads; model, q0, p0 and t_end serve them all
+_MODEL_FIELDS = {"five-body": (), "n3": ("n",), "kepler": ("kappa", "dof"),
+                 "full": ("masses", "d")}
+_SIMULATE_MODELS = tuple(_MODEL_FIELDS)
 
 
 def build_parser() -> _Parser:
@@ -212,6 +215,23 @@ def cmd_ek(args, report: RunReport):
     )
 
 
+def _sweep_csv_chunks(result):
+    """sweep.csv as text, one kernel chunk at a time.
+
+    The bytes are those csv.writer writes for the header and result.rows: the
+    repr of each axis value is built once, which_Mi comes from a five-entry
+    table, and m3 and trace are written as their shortest repr.
+    """
+    axis_text = np.array([repr(v) for v in result.axis.tolist()], dtype=object)
+    which_text = np.array([repr(w) for w in range(5)], dtype=object)
+    yield "rho1,rho2,which_Mi,m3_at_max,trace_max\n"
+    for i1, i2, which, m3, trace in result.chunks:
+        if i1.size:
+            yield "\n".join(map(",".join, zip(
+                axis_text[i1].tolist(), axis_text[i2].tolist(), which_text[which].tolist(),
+                map(repr, m3.tolist()), map(repr, trace.tolist())))) + "\n"
+
+
 def cmd_sweep(args, report: RunReport):
     if args.cells < 2 or args.rho_max <= 1.0:
         raise CliUsageError("sweep needs --cells >= 2 and --rho-max > 1")
@@ -228,11 +248,10 @@ def cmd_sweep(args, report: RunReport):
         "empty_cells": result.empty_cells,
         "refined": result.refined,
         "caveat": result.caveat,
-        "row_count": len(result.rows),
+        "row_count": result.row_count,
     })
     report.write_json("sweep.json", payload, "sweep")
-    report.write_csv("sweep.csv", ("rho1", "rho2", "which_Mi", "m3_at_max", "trace_max"),
-                     result.rows)
+    report._write("sweep.csv", _sweep_csv_chunks(result))
 
 
 def cmd_pairs(args, report: RunReport):
@@ -375,11 +394,17 @@ def cmd_simulate(args, report: RunReport):
     for key, (default, _, _) in _SIMULATE_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, spec.get(key, default))
-    # the manifest records the model as run, not only the flags typed
-    report.params.update({key: getattr(args, key) for key in _SIMULATE_FIELDS
-                          if getattr(args, key) is not None})
     if args.model is None:
         raise CliUsageError("pick --model or supply --init-json with a model")
+    # the manifest records the model as run: every field it reads, typed or
+    # not, and none of the chart fields of the other models
+    unread = {key for keys in _MODEL_FIELDS.values() for key in keys}
+    unread -= set(_MODEL_FIELDS[args.model])
+    for key in _SIMULATE_FIELDS:
+        if key in unread:
+            report.params.pop(key, None)
+        elif getattr(args, key) is not None:
+            report.params[key] = getattr(args, key)
     chart, q0_default, p0_default, period = _build_chart(args)
     q0 = np.asarray(args.q0, dtype=float) if args.q0 is not None else q0_default
     p0 = np.asarray(args.p0, dtype=float) if args.p0 is not None else p0_default

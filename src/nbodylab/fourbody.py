@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -182,24 +181,42 @@ def boundary_maxima(rho1: float, rho2: float):
 class TraceSweepResult:
     """Grid sweep of the boundary trace maxima.
 
-    ``rows`` holds one entry per feasible cell: (rho1, rho2, which_boundary,
-    m3_at_max, trace_max) with m3 reported in the normalized (total-mass-1)
-    parametrization so trace_4body reproduces trace_max.  ``caveat`` states
-    that the sweep is numerical evidence only.
+    ``axis`` holds the grid values shared by both axes.  ``chunks`` holds the
+    feasible cells one kernel chunk at a time, as column arrays (i1, i2,
+    which_boundary, m3_at_max, trace_max): i1 and i2 index rho1 and rho2 in
+    ``axis``, and m3 is reported in the normalized (total-mass-1)
+    parametrization so trace_4body reproduces trace_max.  ``rows`` zips the
+    columns into (rho1, rho2, which_boundary, m3_at_max, trace_max) tuples on
+    each access, for library callers; ``row_count`` counts them without
+    building them.  ``caveat`` states that the sweep is numerical evidence
+    only.
     """
 
     rho_max: float
     cells: int
     global_max: float
     argmax: tuple  # (rho1, rho2, m3_normalized, which_boundary)
-    rows: list
+    axis: np.ndarray
+    chunks: list
     violations: list
     empty_cells: int
     refined: bool
     caveat: str = SWEEP_CAVEAT
 
+    @property
+    def row_count(self) -> int:
+        return sum(cols[0].size for cols in self.chunks)
+
+    @property
+    def rows(self) -> list:
+        return [row for cols in self.chunks for row in _column_rows(self.axis, cols)]
+
+
+_SWEEP_CHUNK = 20_000
+
 
 def _sweep_chunk(args):
+    """(feasible, trace_max, m3_normalized, which_boundary) of each shape."""
     r1, r2 = args
     _, _, m0, dm, tr0, dtr = _line_batch(r1, r2)
     feasible, lo, hi, lo_idx, hi_idx = _positive_segment(m0, dm)
@@ -215,7 +232,7 @@ def _sweep_chunk(args):
     mass_at = m0 + bt[:, None] * dm
     total = mass_at.sum(axis=1)
     m3_norm = np.where(np.abs(total) > 1e-300, mass_at[:, 2] / total, np.nan)
-    return r1, r2, feasible, best, m3_norm, bwhich + 1
+    return feasible, best, m3_norm, bwhich + 1
 
 
 def _grid_axes(rho_max, cells):
@@ -223,10 +240,11 @@ def _grid_axes(rho_max, cells):
     return 1.0 + step * np.arange(1, cells + 1)
 
 
-def _feasible_rows(chunk):
-    """Rows (rho1, rho2, which, m3, trace) of a _sweep_chunk's feasible cells."""
-    r1, r2, feas, best, m3n, which = chunk
-    return zip(*(col[feas].tolist() for col in (r1, r2, which, m3n, best)))
+def _column_rows(axis, cols):
+    """Rows (rho1, rho2, which, m3, trace) of feasible-cell columns."""
+    i1, i2, which, m3, trace = cols
+    return zip(axis[i1].tolist(), axis[i2].tolist(), which.tolist(), m3.tolist(),
+               trace.tolist())
 
 
 def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None,
@@ -234,33 +252,35 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
     """Sweep boundary trace maxima over the grid (1, rho_max]^2, rho1 >= rho2.
 
     The argmax is the first row with the largest trace.  Raises
-    EmptyFeasibleSetError when no cell has a positive-mass segment.
+    EmptyFeasibleSetError when no cell has a positive-mass segment.  ``jobs``
+    above 1 spreads the kernel chunks over that many worker processes.
     """
     axis = _grid_axes(rho_max, cells)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    mask = g1 >= g2
-    r1 = g1[mask]
-    r2 = g2[mask]
-
-    chunk = 20_000
-    pieces = [(r1[i:i + chunk], r2[i:i + chunk]) for i in range(0, r1.size, chunk)]
+    i1, i2 = np.nonzero(axis[:, None] >= axis[None, :])
+    parts = [slice(s, s + _SWEEP_CHUNK) for s in range(0, i1.size, _SWEEP_CHUNK)]
+    pieces = ((axis[i1[part]], axis[i2[part]]) for part in parts)
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_chunk, pieces))
     else:
         results = map(_sweep_chunk, pieces)  # one chunk's arrays alive at a time
 
-    rows = []
+    chunks = []
     empty = 0
-    for res in results:
-        empty += int((~res[2]).sum())
-        rows.extend(_feasible_rows(res))
-    if not rows:
+    top = None
+    for part, (feas, best, m3n, which) in zip(parts, results):
+        empty += feas.size - int(np.count_nonzero(feas))
+        cols = (i1[part][feas], i2[part][feas], which[feas], m3n[feas], best[feas])
+        chunks.append(cols)
+        if cols[4].size:
+            k = int(np.argmax(cols[4]))  # first maximum, so a later tie loses
+            if top is None or cols[4][k] > top[4]:
+                top = next(_column_rows(axis, [col[k:k + 1] for col in cols]))
+    if top is None:
         raise EmptyFeasibleSetError(
             f"no cell of the {cells} x {cells} grid up to rho_max={rho_max} "
             "has positive masses"
         )
-    top = max(rows, key=itemgetter(4))
     if refine:
         span = (rho_max - 1.0) / cells
         for _ in range(3):
@@ -268,14 +288,18 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
             a2 = np.clip(np.linspace(top[1] - span, top[1] + span, 25), 1.0 + 1e-9, rho_max)
             l1, l2 = np.meshgrid(a1, a2, indexing="ij")
             keep = l1 >= l2
-            # top comes first, so a tie keeps it
-            top = max((top, *_feasible_rows(_sweep_chunk((l1[keep], l2[keep])))),
-                      key=itemgetter(4))
+            l1, l2 = l1[keep], l2[keep]
+            _, best, m3n, which = _sweep_chunk((l1, l2))
+            k = int(np.argmax(best))  # an infeasible cell's trace is -inf
+            if best[k] > top[4]:  # a tie keeps the current top
+                top = (l1[k].item(), l2[k].item(), which[k].item(), m3n[k].item(),
+                       best[k].item())
             span /= 12.0
 
-    violations = [row for row in rows if row[4] >= 70.0]
+    violations = [row for cols in chunks
+                  for row in _column_rows(axis, [col[cols[4] >= 70.0] for col in cols])]
     return TraceSweepResult(rho_max, cells, top[4], (top[0], top[1], top[3], top[2]),
-                            rows, violations, empty, refine)
+                            axis, chunks, violations, empty, refine)
 
 
 # ---------------------------------------------------------------------------

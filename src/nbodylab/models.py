@@ -511,7 +511,10 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     declared first integrals near machine accuracy.  An initial state at or
     below the collision floor raises CollisionError; the chart gradient is the
     right-hand side's only collision guard, and a CollisionError from it in
-    the middle of the run becomes StepFailureError.
+    the middle of the run becomes StepFailureError.  When the integrator
+    stops for another reason (say, the step size underflows on the way into
+    a collision), the StepFailureError names the time and the smallest
+    separation of the last state the right-hand side saw.
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -520,10 +523,12 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     if chart.min_separation(q0) <= COLLISION_FLOOR:
         raise CollisionError("initial state at or below the collision floor")
     nev = [0]
+    last = [(0.0, q0)]  # time and positions of the latest RHS evaluation
 
-    def rhs(_t, state):
+    def rhs(t, state):
         nev[0] += 1
         q, p = state[: chart.dof], state[chart.dof:]
+        last[0] = (t, q)
         try:
             grad = chart.gradient(q)
         except CollisionError as exc:
@@ -540,7 +545,10 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
         atol=atol,
     )
     if not sol.success:
-        raise StepFailureError(f"integrator stopped: {sol.message}")
+        t_last, q_last = last[0]
+        raise StepFailureError(
+            f"integrator stopped at t = {t_last:.6g}, smallest separation "
+            f"{chart.min_separation(q_last):.3g}: {sol.message}")
     states = sol.y.T
     names = list(chart.integrals(q0, p0).keys())
     series = np.empty((states.shape[0], len(names)))

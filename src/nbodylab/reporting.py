@@ -8,6 +8,13 @@ runs in the same second never share a directory.  JSON payloads are validated
 against the schemas shipped under ``nbodylab/schemas`` before they reach
 disk; floats round-trip exactly because both the JSON and CSV writers emit
 Python's shortest repr (up to 17 significant digits).
+
+Every file goes through one private ``RunReport._write``, which claims the
+run directory, writes text chunks as they come and records the file for the
+manifest digests.  ``write_csv`` formats small tables with the csv module;
+``sweep.csv`` is streamed through ``_write`` one kernel chunk at a time, with
+the same shortest-repr bytes (see ``cli._sweep_csv_chunks``).  ``sweep
+--jobs`` parallelises only the kernel, never the writing.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import time
@@ -108,27 +116,32 @@ class RunReport:
                 break
         return self.directory / name
 
-    def write_json(self, name: str, payload: dict, schema_name: str) -> Path:
-        validate_payload(payload, schema_name)
+    def _write(self, name: str, chunks) -> Path:
+        """Write an output file from text chunks and record it for the manifest.
+
+        Every output goes through here; the chunks are written as they come,
+        so a caller can stream a large file without holding all of its text.
+        """
         path = self._path(name)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
         self._outputs.append(path)
         return path
+
+    def write_json(self, name: str, payload: dict, schema_name: str) -> Path:
+        validate_payload(payload, schema_name)
+        return self._write(name, (json.dumps(payload, indent=2), "\n"))
 
     def write_csv(self, name: str, header, rows) -> Path:
         """Write rows of plain Python or numpy float64/int scalars, or strings.
 
         The csv module writes each float as its shortest repr (exact round trip).
         """
-        path = self._path(name)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        self._outputs.append(path)
-        return path
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return self._write(name, (text.getvalue(),))
 
     def finish(self) -> Path:
         manifest = {

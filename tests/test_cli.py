@@ -1,6 +1,8 @@
 """End-to-end runs of the batch CLI: exit codes, files, digests, schemas."""
 
+import csv
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -11,7 +13,8 @@ import numpy.testing as npt
 import pytest
 
 from nbodylab import reporting
-from nbodylab.cli import main
+from nbodylab.cli import _sweep_csv_chunks, main
+from nbodylab.fourbody import TraceSweepResult, trace_sweep
 from nbodylab.reporting import RunReport, validate_payload
 
 
@@ -117,6 +120,45 @@ def test_sweep_output_bytes_are_frozen(tmp_path, capsys):
         "sweep.csv": "cf6a46bff8bfd5a5bd03824b126aabce22e9662cb043b1fbd30f0a204bfee467",
         "sweep.json": "fc350e715e9777bf361bf388d14d731ffa1d1775d8686558feb4a1843d67ff0d",
     }
+
+
+@pytest.mark.parametrize("jobs,json_digest", [
+    ("1", "d6ceaf53fb1e0289cdd49df5e7a4041ffb2c8c9a524e72d94c9aabe70ad58c27"),
+    ("2", "3a5d5f27c3238a0730448da9881f2569a011e7ddd1f4f0cf6e987ab1b5850045"),
+])
+def test_refined_sweep_output_bytes_are_frozen(tmp_path, capsys, jobs, json_digest):
+    run_dir = run_ok(["sweep", "--rho-max", "20", "--cells", "150", "--jobs", jobs,
+                      "--out", str(tmp_path)], capsys)
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "sweep.json")}
+    assert digests == {
+        "sweep.csv": "459adf5f78d2ba5a802336eb24b1e4dcec7e483c4fa258b477aa7a69fb79b445",
+        "sweep.json": json_digest,
+    }
+    check_manifest(run_dir)
+
+
+def _columns(*values, dtype=float):
+    return np.array(values, dtype=dtype)
+
+
+def test_sweep_csv_chunks_are_the_csv_writer_text():
+    axis = _columns(1.1, 1.0000000000000002, 1.2345678901234568e+17)
+    odd = TraceSweepResult(
+        rho_max=2.0, cells=3, global_max=1.0, argmax=(), axis=axis, chunks=[
+            (_columns(0, 2, dtype=int), _columns(0, 1, dtype=int), _columns(1, 4, dtype=int),
+             _columns(-0.0, np.nan), _columns(1e-17, np.inf)),
+            (_columns(dtype=int), _columns(dtype=int), _columns(dtype=int), _columns(),
+             _columns()),
+            (_columns(1, dtype=int), _columns(1, dtype=int), _columns(0, dtype=int),
+             _columns(0.1), _columns(-1.5e300)),
+        ], violations=[], empty_cells=0, refined=False)
+    for result in (odd, trace_sweep(rho_max=4.0, cells=210)):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("rho1", "rho2", "which_Mi", "m3_at_max", "trace_max"))
+        writer.writerows(result.rows)
+        assert "".join(_sweep_csv_chunks(result)) == text.getvalue()
 
 
 def test_write_csv_writes_floats_as_shortest_repr(tmp_path):
@@ -265,6 +307,24 @@ def test_simulate_typed_flag_wins_over_init_json(tmp_path, capsys):
     manifest = check_manifest(run_dir)
     assert manifest["parameters"]["n"] == 5
     assert manifest["parameters"]["model"] == "n3"
+
+
+def test_simulate_records_only_the_fields_its_model_reads(tmp_path, capsys):
+    # full model: the bodies collide at t = 0, so the parameters land in error.json
+    code = main(["simulate", "--model", "full", "--masses", "1,1", "--q0", "0,0,0,0",
+                 "--p0", "0,0,0,0", "--t-end", "1", "--out", str(tmp_path / "full")])
+    assert code == 2
+    error = json.loads((only_run_dir(tmp_path / "full") / "error.json").read_text())
+    assert error["parameters"] == {
+        "model": "full", "masses": [1.0, 1.0], "d": 2, "q0": [0.0] * 4, "p0": [0.0] * 4,
+        "t_end": 1.0, "samples": 2001, "rtol": 1e-12,
+    }
+    # n3 model: a typed kepler field is not read, so it is not recorded
+    run_dir = run_ok(["simulate", "--model", "n3", "--kappa", "3", "--t-end", "1",
+                      "--samples", "11", "--out", str(tmp_path / "n3")], capsys)
+    assert check_manifest(run_dir)["parameters"] == {
+        "model": "n3", "n": 4, "t_end": 1.0, "samples": 11, "rtol": 1e-12,
+    }
 
 
 def test_check_subspace_builtin_five_body(tmp_path, capsys):

@@ -133,6 +133,7 @@ def test_sweep_argmax_is_first_row_with_largest_trace():
 def test_sweep_rows_and_empty_cells_cover_the_triangle(cells):
     res = trace_sweep(rho_max=6.0, cells=cells, jobs=None, refine=False)
     assert len(res.rows) + res.empty_cells == cells * (cells + 1) // 2
+    assert res.row_count == len(res.rows)
 
 
 def test_sweep_rows_round_trip_through_trace():
@@ -166,9 +167,14 @@ def test_sweep_without_feasible_cell_raises():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = trace_sweep(rho_max=4.0, cells=30, jobs=None, refine=False)
-    parallel = trace_sweep(rho_max=4.0, cells=30, jobs=2, refine=False)
-    npt.assert_allclose(parallel.global_max, serial.global_max, rtol=1e-12)
+    # 210 cells a side give 22,155 triangle cells: two kernel chunks
+    serial = trace_sweep(rho_max=4.0, cells=210, jobs=None)
+    parallel = trace_sweep(rho_max=4.0, cells=210, jobs=2)
+    assert len(serial.chunks) == 2
+    assert parallel.rows == serial.rows
+    assert parallel.argmax == serial.argmax
+    assert parallel.global_max == serial.global_max
+    assert parallel.violations == serial.violations
     assert parallel.empty_cells == serial.empty_cells
 
 

@@ -1,6 +1,7 @@
 """Closed-form model identities, invariant subspaces, and the simulator."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -35,7 +36,13 @@ from nbodylab.models import (
     restricted_potential_5body,
     simulate,
 )
-from nbodylab.potential import Configuration, MassVector, eval_potential, gradient
+from nbodylab.potential import (
+    COLLISION_FLOOR,
+    Configuration,
+    MassVector,
+    eval_potential,
+    gradient,
+)
 
 
 def five_body_config(z):
@@ -383,6 +390,24 @@ def test_mid_run_collision_is_a_step_failure_from_the_gradient(case):
         simulate(chart, q0, p0, 5.0)
     # the chart gradient's own collision check stopped the run
     assert isinstance(info.value.__cause__, CollisionError)
+
+
+def test_stalled_integrator_names_time_and_separation():
+    # plane 1 falls from rest; the step size underflows just before the floor
+    y0 = np.array([1.0, 0.0, 0.0, 1.3])
+    w0 = np.array([0.0, 0.0, -math.sqrt(FIVE_BODY_KAPPA / 1.3), 0.0])
+    mix = decouple_matrix()
+    with pytest.raises(StepFailureError) as info:
+        simulate(PairedOrbitsChart(), mix.T @ y0, mix.T @ w0, 5.0)
+    assert info.value.__cause__ is None
+    match = re.fullmatch(r"integrator stopped at t = (\S+), smallest separation (\S+): "
+                         r"Required step size is less than spacing between numbers\.",
+                         str(info.value))
+    assert match is not None, str(info.value)
+    # radial free fall from rest at r = 1 reaches the centre at pi/2 sqrt(1/(2 kappa))
+    npt.assert_allclose(float(match[1]), math.pi / 2 * math.sqrt(0.5 / FIVE_BODY_KAPPA),
+                        atol=1e-4)
+    assert COLLISION_FLOOR < float(match[2]) < 1e-6
 
 
 @pytest.mark.parametrize("chart,q0", [
