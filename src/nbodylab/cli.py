@@ -391,19 +391,22 @@ def _read_init_json(path) -> dict:
 
 def cmd_simulate(args, report: RunReport):
     spec = _read_init_json(args.init_json) if args.init_json else {}
+    typed = [key for key in _SIMULATE_FIELDS if getattr(args, key) is not None]
     for key, (default, _, _) in _SIMULATE_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, spec.get(key, default))
     if args.model is None:
         raise CliUsageError("pick --model or supply --init-json with a model")
-    # the manifest records the model as run: every field it reads, typed or
-    # not, and none of the chart fields of the other models
+    # a typed chart flag of another model is a usage error; --init-json only
+    # fills, so its unread fields are skipped.  The manifest records the model
+    # as run: every field it reads, and none of the other models' chart fields.
     unread = {key for keys in _MODEL_FIELDS.values() for key in keys}
     unread -= set(_MODEL_FIELDS[args.model])
+    stray = [f"--{key}" for key in typed if key in unread]
+    if stray:
+        raise CliUsageError(f"--model {args.model} does not read {', '.join(stray)}")
     for key in _SIMULATE_FIELDS:
-        if key in unread:
-            report.params.pop(key, None)
-        elif getattr(args, key) is not None:
+        if key not in unread and getattr(args, key) is not None:
             report.params[key] = getattr(args, key)
     chart, q0_default, p0_default, period = _build_chart(args)
     q0 = np.asarray(args.q0, dtype=float) if args.q0 is not None else q0_default

@@ -7,9 +7,17 @@ is affine along it, so its maximum over the positive-mass segment is attained
 where one mass vanishes.  A dense sweep of those boundary values yields the
 numerical bound trace < 70, which caps the candidate eigenvalue pairs at 26;
 determinant matching (Z0) and third-derivative contractions (Z1..Z4) then
-eliminate all but the survivors.  The Z0 = 0 locus of a pair comes from the
-sign flips of Z0 on a grid, and all flips of a pair are bisected as one
-array (``_bisect_zeros``), row for row the arithmetic of a scalar bisection.
+eliminate all but the survivors.
+
+The pair pipeline runs as one batch over pairs, row for row the arithmetic
+of the scalar steps: the grid's mass line is solved once and each pair's Z0
+is trace matched on it; the Z0 sign flips of all pairs are bisected as one
+array (``_bisect_zeros``); each surviving pair hands its full Z0 locus to the
+order-2 stage, whose plane contractions at every locus point are one call of
+the batched kernel behind ``potential.third_contract``; and the symmetric
+trace roots of all enumerated pairs are bisected as one array, once per
+``rho_max``.  The public ``pair_feasibility`` and ``order2_exclusion_4body``
+run the same path with one pair.
 
 The mass line itself comes from ``central``: the grid code runs on its
 batched multiplier -1 line (``_line_batch``), and ``trace_4body`` on the
@@ -21,16 +29,18 @@ every exported summary carries that caveat.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .admissibility import admissible_values, odd_family_predicate
 from .central import _line_batch, _positions, mass_line_4body
 from .errors import EmptyFeasibleSetError, InvalidKError, RankDeficiencyError
-from .potential import Configuration, MassVector, hessian_w, third_contract
+from .potential import Configuration, _third_contract_batch, hessian_w
 
 __all__ = [
     "SWEEP_CAVEAT",
@@ -212,7 +222,7 @@ class TraceSweepResult:
         return [row for cols in self.chunks for row in _column_rows(self.axis, cols)]
 
 
-_SWEEP_CHUNK = 20_000
+_CHUNK = 20_000  # grid cells per line solve
 
 
 def _sweep_chunk(args):
@@ -257,7 +267,7 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
     """
     axis = _grid_axes(rho_max, cells)
     i1, i2 = np.nonzero(axis[:, None] >= axis[None, :])
-    parts = [slice(s, s + _SWEEP_CHUNK) for s in range(0, i1.size, _SWEEP_CHUNK)]
+    parts = [slice(s, s + _CHUNK) for s in range(0, i1.size, _CHUNK)]
     pieces = ((axis[i1[part]], axis[i2[part]]) for part in parts)
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -334,27 +344,36 @@ def _pair_key(pair) -> tuple:
     return a, b
 
 
-def _trace_matched(pair, rho1, rho2):
+def _matched_masses(lam, line):
     """Line masses where the W trace equals 2 + lam1 + lam2, one row per shape.
 
-    Returns (inv3, masses) with inv3 from _line_batch; masses may be signed.
+    ``line`` is a _line_batch result and ``lam`` one eigenvalue pair for all
+    rows, shape (2,), or one per row, shape (k, 2); the masses may be signed.
     """
-    _, inv3, m0, dm, tr0, dtr = _line_batch(rho1, rho2)
-    t = (2.0 + pair[0] + pair[1] - tr0) / dtr
-    return inv3, m0 + t[:, None] * dm
+    _, _, m0, dm, tr0, dtr = line
+    t = (2.0 + lam[..., 0] + lam[..., 1] - tr0) / dtr
+    return m0 + t[:, None] * dm
 
 
-def _z0_points(pair, r1, r2):
-    inv3, masses = _trace_matched(pair, r1, r2)
-    return _third_invariant(_w_batch(inv3, masses)) / 2.0 - pair[0] * pair[1]
+def _z0_from_line(lam, line):
+    """Z0 = e3(W)/2 - lam1 lam2 of each row's pair, trace matched on the line."""
+    w = _w_batch(line[1], _matched_masses(lam, line))
+    return _third_invariant(w) / 2.0 - lam[..., 0] * lam[..., 1]
 
 
-def _bisect_zeros(pair, p, q, iters=60):
+def _z0_points(lam, r1, r2):
+    """Z0 at the shapes (r1, r2); ``lam`` as in _matched_masses."""
+    return _z0_from_line(np.asarray(lam), _line_batch(r1, r2))
+
+
+def _bisect_zeros(lam, p, q, iters=60):
     """Refine the Z0 sign changes along the segments p[i] -> q[i], all at once.
 
-    p and q are (k, 2) arrays of bracket ends.  Each row runs the scalar
-    bisection: midpoint 0.5 * (p + q), keep the half where fp * fm <= 0, and
-    after ``iters`` steps accept the midpoint when |Z0| there is below
+    p and q are (k, 2) arrays of bracket ends, and ``lam`` holds the
+    eigenvalue pair of every row, shape (k, 2), or one pair for all, so the
+    flips of several pairs share each step's line solve.  Each row runs the
+    scalar bisection: midpoint 0.5 * (p + q), keep the half where fp * fm <= 0,
+    and after ``iters`` steps accept the midpoint when |Z0| there is below
     max(1e-6, 1e-3 * min(|fp|, |fq|)) of the original ends (a genuine zero
     shrinks |Z0| below the bracket scale; a pole grows it).  A row is dropped
     when its ends do not change sign or when an end or any midpoint is not
@@ -363,7 +382,8 @@ def _bisect_zeros(pair, p, q, iters=60):
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
     k = p.shape[0]
-    ends = _z0_points(pair, np.concatenate([p[:, 0], q[:, 0]]),
+    lam = np.broadcast_to(np.asarray(lam), (k, 2))
+    ends = _z0_points(np.concatenate([lam, lam]), np.concatenate([p[:, 0], q[:, 0]]),
                       np.concatenate([p[:, 1], q[:, 1]]))
     fp, fq = ends[:k], ends[k:]
     live = np.isfinite(fp) & np.isfinite(fq)
@@ -375,7 +395,7 @@ def _bisect_zeros(pair, p, q, iters=60):
         if rows.size == 0:
             break
         mid = 0.5 * (p[rows] + q[rows])
-        fm = _z0_points(pair, mid[:, 0], mid[:, 1])
+        fm = _z0_points(lam[rows], mid[:, 0], mid[:, 1])
         finite = np.isfinite(fm)
         live[rows[~finite]] = False
         rows, mid, fm = rows[finite], mid[finite], fm[finite]
@@ -387,7 +407,7 @@ def _bisect_zeros(pair, p, q, iters=60):
     mid = 0.5 * (p + q)
     rows = np.flatnonzero(live)
     accepted = np.zeros(k, dtype=bool)
-    z = _z0_points(pair, mid[rows, 0], mid[rows, 1])
+    z = _z0_points(lam[rows], mid[rows, 0], mid[rows, 1])
     accepted[rows] = np.abs(z) < np.maximum(1e-6, 1e-3 * scale[rows])
     return mid, accepted
 
@@ -407,29 +427,65 @@ def _grid_sign_changes(z):
     return a, b
 
 
-def _z0_locus(pair, rho_max, cells, max_hits=None):
-    """Z0 on the strict rho1 > rho2 grid, its sign flips, and bisected zeros.
+def _z0_grid(keys, rho_max, cells):
+    """Z0 of each pair on the strict rho1 > rho2 grid, reduced to its evidence.
 
-    The trace is matched in m3 at every cell.  All flips of the pair are
-    bisected as one array; the first ``max_hits`` confirmed zeros in flip
-    order are kept.  Returns (z0 on the grid cells, number of flips, zeros as
-    a (h, 2) array of (rho1, rho2)).
+    The grid's mass line is solved once (in chunks of ``_CHUNK`` cells) and
+    every pair's Z0 is trace matched on it, one pair at a time.  Returns the
+    (n, 2) grid shapes and, per key, (cells with finite Z0, min |Z0| over the
+    cells, sign-flip ends a, b as flat indices into the shapes).
     """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     mask = g1 > g2
     r1, r2 = g1[mask], g2[mask]
-    z0 = np.full(r1.shape, np.nan)
-    chunk = 20_000
-    for i in range(0, r1.size, chunk):
-        s = slice(i, i + chunk)
-        z0[s] = _z0_points(pair, r1[s], r2[s])
+    lines = [_line_batch(r1[i:i + _CHUNK], r2[i:i + _CHUNK])
+             for i in range(0, r1.size, _CHUNK)]
     zgrid = np.full(mask.shape, np.nan)
-    zgrid[mask] = z0
-    a, b = _grid_sign_changes(zgrid)
-    shapes = np.column_stack([g1.ravel(), g2.ravel()])
-    mid, accepted = _bisect_zeros(pair, shapes[a], shapes[b])
-    return z0, a.size, mid[accepted][:max_hits]
+    out = []
+    for key in keys:
+        lam = np.asarray(key)
+        z0 = np.concatenate([_z0_from_line(lam, line) for line in lines])
+        finite = np.isfinite(z0)
+        min_abs = float(np.nanmin(np.abs(z0))) if finite.any() else math.nan
+        zgrid[mask] = z0
+        out.append((int(finite.sum()), min_abs, *_grid_sign_changes(zgrid)))
+    return np.column_stack([g1.ravel(), g2.ravel()]), out
+
+
+def _z0_loci(keys, rho_max, cells):
+    """Z0 grid evidence and every confirmed Z0 zero of each pair.
+
+    The sign flips of all pairs are bisected as one array.  Returns, per key,
+    (cells with finite Z0, min |Z0|, number of flips, the zeros in flip order
+    as an (h, 2) array of (rho1, rho2)).
+    """
+    shapes, grids = _z0_grid(keys, rho_max, cells)
+    counts = [a.size for _, _, a, _ in grids]
+    a = np.concatenate([a for _, _, a, _ in grids])
+    b = np.concatenate([b for _, _, _, b in grids])
+    lam = np.repeat(np.array(keys, dtype=int).reshape(-1, 2), counts, axis=0)
+    mid, accepted = _bisect_zeros(lam, shapes[a], shapes[b])
+    ends = np.cumsum([0, *counts])
+    return [(n_cells, min_abs, n, mid[lo:hi][accepted[lo:hi]])
+            for (n_cells, min_abs, _, _), n, lo, hi in zip(grids, counts, ends[:-1], ends[1:])]
+
+
+def _nonsym_candidate(key, grid_cells, min_abs_z0, n_flips, zeros):
+    """Non-symmetric Z0 evidence of a pair; the first 8 zeros count."""
+    hits = zeros[:8]
+    cand = PairCandidate(key)
+    cand.evidence = {
+        "mode": "nonsymmetric",
+        "grid_cells": grid_cells,
+        "sign_changes": n_flips,
+        "zeros_confirmed": len(hits),
+        "min_abs_z0": min_abs_z0,
+        "zero_samples": [tuple(map(float, h)) for h in hits[:4]],
+        "caveat": SWEEP_CAVEAT,
+    }
+    cand.status = "feasible" if len(hits) else "excluded-by-Z0"
+    return cand
 
 
 def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
@@ -438,49 +494,46 @@ def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
 
     Non-symmetric mode scans rho1 > rho2 > 1 without mass positivity (the
     trace equation is solved in closed form from the affine family, then the
-    determinant condition Z0 = 0 is located by sign change + bisection).
-    Symmetric mode scans the rho1 = rho2 locus, where the trace pins the
-    shape, the third invariant pins m3, and all masses must come out positive.
+    determinant condition Z0 = 0 is located by sign change + bisection; the
+    first 8 confirmed zeros are kept).  Symmetric mode scans the rho1 = rho2
+    locus, where the trace pins the shape, the third invariant pins m3, and
+    all masses must come out positive.
     """
     key = _pair_key(pair)
-    cand = PairCandidate(key)
     if symmetric:
-        return _symmetric_feasibility(cand, rho_max)
-
-    z0, n_flips, hits = _z0_locus(key, rho_max, cells, max_hits=8)
-    finite = np.isfinite(z0)
-    cand.evidence = {
-        "mode": "nonsymmetric",
-        "grid_cells": int(finite.sum()),
-        "sign_changes": n_flips,
-        "zeros_confirmed": len(hits),
-        "min_abs_z0": float(np.nanmin(np.abs(z0))) if finite.any() else math.nan,
-        "zero_samples": [tuple(map(float, h)) for h in hits[:4]],
-        "caveat": SWEEP_CAVEAT,
-    }
-    cand.status = "feasible" if len(hits) else "excluded-by-Z0"
-    return cand
+        return _symmetric_feasibility(PairCandidate(key), rho_max)
+    return _nonsym_candidate(key, *_z0_loci([key], rho_max, cells)[0])
 
 
-def _symmetric_trace_root(target, rho_max):
-    """Solve trace(rho) = target on the symmetric locus by bisection."""
-    lo, hi = 1.0 + 1e-6, rho_max
+@functools.lru_cache(maxsize=4)
+def _symmetric_trace_roots(rho_max):
+    """Symmetric-locus rho where trace = target, for every enumerated target.
+
+    All targets 2 + lam1 + lam2 are bisected as one array on [1 + 1e-6,
+    rho_max], 80 steps, each row the scalar arithmetic: keep the half where
+    flo * fm <= 0, return the last midpoint.  Maps each target to that rho,
+    or to None when the trace minus the target has one sign at both ends; the
+    map is read-only, since every caller with this rho_max shares it.
+    """
+    targets = np.array(sorted({2.0 + a + b for a, b in (c.pair for c in enumerate_pairs())}))
+    lo = np.full(targets.size, 1.0 + 1e-6)
+    hi = np.full(targets.size, float(rho_max))
 
     def f(rho):
-        _, _, _, _, tr0, _ = _line_batch(rho, rho)
-        return tr0[0] - target
+        return _line_batch(rho, rho)[4] - targets
 
     flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
-        return None
+    has_root = ~(flo * fhi > 0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    roots = (0.5 * (lo + hi)).tolist()
+    return MappingProxyType({t: rho if ok else None
+                             for t, rho, ok in zip(targets.tolist(), roots, has_root.tolist())})
 
 
 def _z0_cubic_roots(inv3, m0, dm, prod):
@@ -507,7 +560,7 @@ def _z0_cubic_roots(inv3, m0, dm, prod):
 
 def _symmetric_feasibility(cand, rho_max):
     lam1, lam2 = cand.pair
-    rho = _symmetric_trace_root(2.0 + lam1 + lam2, rho_max)
+    rho = _symmetric_trace_roots(rho_max)[2.0 + lam1 + lam2]
     solutions = []
     if rho is not None:
         _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
@@ -529,72 +582,106 @@ def _symmetric_feasibility(cand, rho_max):
 
 
 def _plane_basis(rho1, rho2):
-    w1 = np.array([2.0, -1.0 - rho1, rho1 - 1.0, 0.0])
-    w2 = np.array([0.0, rho2 - 1.0, -1.0 - rho2, 2.0])
-    return w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2)
+    """Unit vectors w1, w2 spanning the invariant plane at each shape, (k, 4) each."""
+    w1 = np.zeros((rho1.size, 4))
+    w2 = np.zeros((rho1.size, 4))
+    w1[:, 0] = 2.0
+    w1[:, 1] = -1.0 - rho1
+    w1[:, 2] = rho1 - 1.0
+    w2[:, 1] = rho2 - 1.0
+    w2[:, 2] = -1.0 - rho2
+    w2[:, 3] = 2.0
+    # a stacked matmul dot rounds as np.linalg.norm of one vector does
+    return tuple(w / np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0] for w in (w1, w2))
 
 
 def _plane_contractions(rho1, rho2, masses):
+    """D^3 V on (w1,w1,w1), (w1,w1,w2), (w1,w2,w2), (w2,w2,w2) at each shape.
+
+    rho1 and rho2 are (k,) arrays and masses is (k, 4); returns (k, 4), each
+    entry bit for bit the scalar third_contract at that shape.
+    """
     w1, w2 = _plane_basis(rho1, rho2)
-    mv = MassVector(masses)
-    cf = Configuration(_positions(rho1, rho2)[0])
-    return tuple(
-        third_contract(mv, cf, x, y, z)
-        for x, y, z in ((w1, w1, w1), (w1, w1, w2), (w1, w2, w2), (w2, w2, w2))
-    )
+    q = _positions(rho1, rho2)[..., None]
+    x, y, z = (np.concatenate(ws)[..., None]
+               for ws in ((w1, w1, w1, w2), (w1, w1, w2, w2), (w1, w2, w2, w2)))
+    out = _third_contract_batch(np.tile(masses, (4, 1)), np.tile(q, (4, 1, 1)), x, y, z)
+    return out.reshape(4, -1).T
+
+
+_ORDER2_THRESHOLD = 1e-3
+
+
+def _order2_candidates(keys, loci, rho_max, threshold):
+    """Order-2 exclusion of several pairs on their full Z0 loci.
+
+    The plane contractions at every locus point and symmetric solution of
+    all pairs are evaluated as one batch.
+    """
+    sym_points, sym_masses = [], []
+    for lam1, lam2 in keys:
+        # symmetric branch: trace pins rho, Z0 pins m3, m3 > 0 required
+        points, masses = [], []
+        rho = _symmetric_trace_roots(rho_max)[2.0 + lam1 + lam2]
+        if rho is not None:
+            _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
+            for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
+                if t_root > 0:
+                    points.append((float(rho), float(t_root)))
+                    masses.append(m0[0] + t_root * dm[0])
+        sym_points.append(points)
+        sym_masses.append(masses)
+
+    # non-symmetric branch: the bisected Z0 = 0 locus, trace matched in m3
+    locus = np.concatenate([np.empty((0, 2)), *loci])
+    lam = np.repeat(np.array(keys, dtype=int).reshape(-1, 2), [len(pts) for pts in loci],
+                    axis=0)
+    sym_rho = np.array([rho for pts in sym_points for rho, _ in pts])
+    masses = np.vstack([_matched_masses(lam, _line_batch(locus[:, 0], locus[:, 1])),
+                        *[m for ms in sym_masses for m in ms]])
+    worst = np.abs(_plane_contractions(np.concatenate([locus[:, 0], sym_rho]),
+                                       np.concatenate([locus[:, 1], sym_rho]),
+                                       masses)).max(axis=1)
+
+    out = []
+    ends = np.cumsum([0, *map(len, loci), *map(len, sym_points)])
+    for i, key in enumerate(keys):
+        nonsym_min = float(worst[ends[i]:ends[i + 1]].min(initial=math.inf))
+        j = len(keys) + i
+        sym_min = float(worst[ends[j]:ends[j + 1]].min(initial=math.inf))
+        cand = PairCandidate(key)
+        cand.evidence = {
+            "nonsym_locus_points": len(loci[i]),
+            "nonsym_min_max_contraction": None if math.isinf(nonsym_min) else nonsym_min,
+            "sym_solutions": sym_points[i],
+            "sym_min_max_contraction": None if math.isinf(sym_min) else sym_min,
+            "threshold": threshold,
+            "caveat": SWEEP_CAVEAT,
+        }
+        worst_min = min(nonsym_min, sym_min)
+        cand.status = "order2-excluded" if worst_min > threshold else "feasible"
+        out.append(cand)
+    return out
 
 
 def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
-                           threshold: float = 1e-3) -> PairCandidate:
+                           threshold: float = _ORDER2_THRESHOLD) -> PairCandidate:
     """Evaluate the four plane contractions along the determinant locus.
 
     Requires the pair to sit in the eigenvalue family b(2b+3) with the span
     condition, so that vanishing of all contractions on the invariant plane
     is necessary for integrability.  Reports "order2-excluded" when the
     contraction system stays bounded away from zero on the entire sampled
-    locus (both the strict rho1 > rho2 branch and the symmetric one).
+    locus: every confirmed Z0 zero of the strict rho1 > rho2 branch, and the
+    symmetric branch.
     """
     key = _pair_key(pair)
     if not odd_family_predicate(key):
         raise InvalidKError(
             f"{{{key[0]},{key[1]}}} is outside the eigenvalue family handled here"
         )
-    cand = PairCandidate(key)
-    lam1, lam2 = key
-
-    # non-symmetric branch: the bisected Z0 = 0 locus, trace matched in m3
-    _, _, locus = _z0_locus(key, rho_max, cells)
-    locus_masses = _trace_matched(key, locus[:, 0], locus[:, 1])[1]
-    nonsym_min = math.inf
-    for (rho1, rho2), masses in zip(locus, locus_masses):
-        zs = _plane_contractions(rho1, rho2, masses)
-        nonsym_min = min(nonsym_min, max(abs(z) for z in zs))
-
-    # symmetric branch: trace pins rho, Z0 pins m3, m3 > 0 required
-    sym_points = []
-    sym_min = math.inf
-    rho = _symmetric_trace_root(2.0 + lam1 + lam2, rho_max)
-    if rho is not None:
-        _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
-        for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
-            if t_root <= 0:
-                continue
-            sym_points.append((float(rho), float(t_root)))
-            masses = m0[0] + t_root * dm[0]
-            zs = _plane_contractions(rho, rho, masses)
-            sym_min = min(sym_min, max(abs(z) for z in zs))
-
-    worst = min(nonsym_min, sym_min)
-    cand.evidence = {
-        "nonsym_locus_points": len(locus),
-        "nonsym_min_max_contraction": None if math.isinf(nonsym_min) else nonsym_min,
-        "sym_solutions": sym_points,
-        "sym_min_max_contraction": None if math.isinf(sym_min) else sym_min,
-        "threshold": threshold,
-        "caveat": SWEEP_CAVEAT,
-    }
-    cand.status = "order2-excluded" if worst > threshold else "feasible"
-    return cand
+    (*_, locus), = _z0_loci([key], rho_max, cells)
+    return _order2_candidates([key], [locus], rho_max, threshold)[0]
 
 
 def condition_count(pair) -> int:
@@ -608,19 +695,24 @@ def condition_count(pair) -> int:
 
 
 def classify_pairs(rho_max: float = 20.0, cells: int = 240) -> list[PairCandidate]:
-    """Full pipeline: enumerate, Z0-eliminate, order-2 exclude."""
-    out = []
-    for cand in enumerate_pairs():
-        staged = pair_feasibility(cand.pair, symmetric=False,
-                                  rho_max=rho_max, cells=cells)
-        if staged.status == "feasible" and odd_family_predicate(staged.pair):
-            excl = order2_exclusion_4body(staged.pair, rho_max=rho_max, cells=cells)
-            if excl.status == "order2-excluded":
-                excl.evidence = {**staged.evidence, **excl.evidence}
-                out.append(excl)
-                continue
-        if staged.status == "feasible":
-            staged.evidence["order2_conditions"] = ORDER2_CONDITION_COUNTS.get(
-                staged.pair)
-        out.append(staged)
+    """Full pipeline: enumerate, Z0-eliminate, order-2 exclude.
+
+    All pairs share one grid line and one bisection; each surviving pair of
+    the odd family takes its full Z0 locus to the order-2 stage, while its
+    Z0 evidence keeps the first 8 zeros, as pair_feasibility reports them.
+    """
+    keys = [c.pair for c in enumerate_pairs()]
+    loci = _z0_loci(keys, rho_max, cells)
+    out = [_nonsym_candidate(key, *locus) for key, locus in zip(keys, loci)]
+    odd = [i for i, c in enumerate(out)
+           if c.status == "feasible" and odd_family_predicate(c.pair)]
+    excluded = _order2_candidates([keys[i] for i in odd], [loci[i][3] for i in odd],
+                                  rho_max, _ORDER2_THRESHOLD)
+    for i, excl in zip(odd, excluded):
+        if excl.status == "order2-excluded":
+            excl.evidence = {**out[i].evidence, **excl.evidence}
+            out[i] = excl
+    for c in out:
+        if c.status == "feasible":
+            c.evidence["order2_conditions"] = ORDER2_CONDITION_COUNTS.get(c.pair)
     return out

@@ -129,13 +129,17 @@ def _pair_data(q: np.ndarray):
     iu, _ = _pair_index(q.shape[0])
     dmin = dist[iu].min()
     if dmin <= COLLISION_FLOOR:
-        pair = np.unravel_index(np.argmin(dist[iu]), (len(iu[0]),))
-        i, j = iu[0][pair[0]], iu[1][pair[0]]
-        raise CollisionError(
-            f"bodies {i} and {j} are separated by {dmin:.3e} "
-            f"(floor {COLLISION_FLOOR:.1e})"
-        )
+        _raise_collision(dist[iu], iu)
     return diff, dist
+
+
+def _raise_collision(r: np.ndarray, iu) -> None:
+    """CollisionError naming the closest pair; r holds pair distances, last axis by pair."""
+    p = int(np.argmin(r)) % r.shape[-1]
+    raise CollisionError(
+        f"bodies {iu[0][p]} and {iu[1][p]} are separated by {r.min():.3e} "
+        f"(floor {COLLISION_FLOOR:.1e})"
+    )
 
 
 def eval_potential(masses, coords) -> float:
@@ -267,21 +271,30 @@ def third_contract(masses, coords, x, y, z) -> float:
     m = as_mass_array(masses)
     q = as_coord_array(coords)
     n, d = q.shape
-    X = _as_directions(n, d, x)
-    Y = _as_directions(n, d, y)
-    Z = _as_directions(n, d, z)
-    diff, dist = _pair_data(q)
-    iu, _ = _pair_index(n)
-    u = diff[iu]
-    r = dist[iu]
-    dx = (X[:, None, :] - X[None, :, :])[iu]
-    dy = (Y[:, None, :] - Y[None, :, :])[iu]
-    dz = (Z[:, None, :] - Z[None, :, :])[iu]
-    ux = np.einsum("pk,pk->p", u, dx)
-    uy = np.einsum("pk,pk->p", u, dy)
-    uz = np.einsum("pk,pk->p", u, dz)
-    xy = np.einsum("pk,pk->p", dx, dy)
-    xz = np.einsum("pk,pk->p", dx, dz)
-    yz = np.einsum("pk,pk->p", dy, dz)
+    X, Y, Z = (_as_directions(n, d, v)[None] for v in (x, y, z))
+    return float(_third_contract_batch(m[None], q[None], X, Y, Z)[0])
+
+
+def _third_contract_batch(m, q, x, y, z) -> np.ndarray:
+    """third_contract of each row: m is (b, n), q, x, y and z are (b, n, d).
+
+    A batch of one is third_contract's arithmetic.  For n <= 4 every row is
+    bit for bit the batch of one; for larger n the pair sum of a longer batch
+    may round differently, so callers needing third_contract's bits there use it.
+    """
+    iu, _ = _pair_index(q.shape[1])
+    u = q[:, iu[0]] - q[:, iu[1]]
+    r = np.sqrt(np.einsum("bpk,bpk->bp", u, u))
+    if np.any(r <= COLLISION_FLOOR):
+        _raise_collision(r, iu)
+    dx = x[:, iu[0]] - x[:, iu[1]]
+    dy = y[:, iu[0]] - y[:, iu[1]]
+    dz = z[:, iu[0]] - z[:, iu[1]]
+    ux = np.einsum("bpk,bpk->bp", u, dx)
+    uy = np.einsum("bpk,bpk->bp", u, dy)
+    uz = np.einsum("bpk,bpk->bp", u, dz)
+    xy = np.einsum("bpk,bpk->bp", dx, dy)
+    xz = np.einsum("bpk,bpk->bp", dx, dz)
+    yz = np.einsum("bpk,bpk->bp", dy, dz)
     core = -15.0 * ux * uy * uz / r**7 + 3.0 * (ux * yz + uy * xz + uz * xy) / r**5
-    return float(np.sum(m[iu[0]] * m[iu[1]] * core))
+    return np.sum(m[:, iu[0]] * m[:, iu[1]] * core, axis=1)

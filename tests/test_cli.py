@@ -274,8 +274,22 @@ _FULL_STATE = ["--q0", "1,0,-0.5,0.8,-0.4,-0.9", "--p0", "0,0.5,-0.45,-0.2,0.4,-
     }),
     (["pairs", "--cells", "40"], {
         "pairs.json": "2cb4eb36e6045c1b2b8f0f89016b93eebe9d9e24db341543bdae518bd447bbeb",
+        "pairs.csv": "437fcabee10ac890a402652219170148f54574cd82ece8f6bdaec7bf3ddfc577",
     }),
-], ids=["simulate-five-body", "simulate-full", "pairs-40"])
+    (["pairs", "--cells", "120"], {
+        "pairs.json": "a2e3a0253eb3601a678fd57e7d485419650bba69c91d37494cc8589eb980aca3",
+        "pairs.csv": "3a8b1588a2579a1af85ffe9aa3e1731b3c897106c98a17a22e02013e8b21abc3",
+    }),
+    (["pairs", "--mode", "nonsymmetric", "--cells", "40"], {
+        "pairs.json": "60d8af00fd097bf68f2dfa0a1b465ece08dbf01fdcff162f3249ae35673a4552",
+        "pairs.csv": "fc04c568452500d5a65d3313011e76fc20355a0d6ccd4af746e3e18c608858d0",
+    }),
+    (["pairs", "--mode", "symmetric"], {
+        "pairs.json": "bbc2bf1c1c6e3dcb3bb666c6fcb47928dc145deffd214269f34225714cddfc2d",
+        "pairs.csv": "ed4ac1dda6161440da2d95d95dcb93255a67229c157460fa1029f573d6a504ba",
+    }),
+], ids=["simulate-five-body", "simulate-full", "pairs-40", "pairs-120",
+        "pairs-nonsymmetric-40", "pairs-symmetric"])
 def test_output_bytes_are_frozen(tmp_path, capsys, argv, expected):
     run_dir = run_ok([*argv, "--out", str(tmp_path)], capsys)
     digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
@@ -319,12 +333,42 @@ def test_simulate_records_only_the_fields_its_model_reads(tmp_path, capsys):
         "model": "full", "masses": [1.0, 1.0], "d": 2, "q0": [0.0] * 4, "p0": [0.0] * 4,
         "t_end": 1.0, "samples": 2001, "rtol": 1e-12,
     }
-    # n3 model: a typed kepler field is not read, so it is not recorded
-    run_dir = run_ok(["simulate", "--model", "n3", "--kappa", "3", "--t-end", "1",
+    # n3 model: an --init-json kepler field only fills, so it is not recorded
+    init = tmp_path / "n3.json"
+    init.write_text(json.dumps({"model": "n3", "kappa": 3.0}))
+    run_dir = run_ok(["simulate", "--init-json", str(init), "--t-end", "1",
                       "--samples", "11", "--out", str(tmp_path / "n3")], capsys)
     assert check_manifest(run_dir)["parameters"] == {
-        "model": "n3", "n": 4, "t_end": 1.0, "samples": 11, "rtol": 1e-12,
+        "model": "n3", "init_json": str(init), "n": 4, "t_end": 1.0, "samples": 11,
+        "rtol": 1e-12,
     }
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["--model", "n3", "--kappa", "3"], "--kappa"),
+    (["--model", "five-body", "--n", "5", "--d", "3"], "--n, --d"),
+    (["--model", "kepler", "--masses", "1,1"], "--masses"),
+    (["--model", "full", "--masses", "1,1", "--dof", "2"], "--dof"),
+], ids=["n3-kappa", "five-body-n-d", "kepler-masses", "full-dof"])
+def test_simulate_rejects_typed_flags_its_model_does_not_read(tmp_path, capsys, argv,
+                                                              flags):
+    model = argv[1]
+    code = main(["simulate", *argv, "--t-end", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [
+        f"nbodylab simulate: error: --model {model} does not read {flags}"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_init_json_model_with_a_stray_typed_flag_is_rejected(tmp_path, capsys):
+    init = tmp_path / "orbit.json"
+    init.write_text(json.dumps({"model": "kepler"}))
+    code = main(["simulate", "--init-json", str(init), "--n", "5", "--t-end", "1",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert "--model kepler does not read --n" in capsys.readouterr().err
+    assert not any((tmp_path / "runs").iterdir())
 
 
 def test_check_subspace_builtin_five_body(tmp_path, capsys):

@@ -7,7 +7,13 @@ import numpy.testing as npt
 import pytest
 
 from nbodylab import fourbody
-from nbodylab.central import mass_line_4body, normalize_cc, CentralConfiguration
+from nbodylab.central import (
+    CentralConfiguration,
+    _line_batch,
+    _positions,
+    mass_line_4body,
+    normalize_cc,
+)
 from nbodylab.errors import EmptyFeasibleSetError, InvalidKError
 from nbodylab.fourbody import (
     ORDER2_CONDITION_COUNTS,
@@ -22,7 +28,7 @@ from nbodylab.fourbody import (
     trace_4body,
     trace_sweep,
 )
-from nbodylab.potential import Configuration, MassVector, hessian_w
+from nbodylab.potential import Configuration, MassVector, hessian_w, third_contract
 
 NONSYM_EXCLUDED = {
     (9, 9), (9, 14), (14, 14), (14, 20), (14, 27), (14, 35),
@@ -329,3 +335,84 @@ def test_bisect_zeros_matches_scalar_bisection():
         if ref is not None:
             assert tuple(mid[k]) == ref
     assert accepted[:-2].all()
+
+
+def _scalar_trace_root(target, rho_max):
+    """Bisection of trace(rho) = target on the symmetric locus, one shape a step."""
+    def f(rho):
+        return float(_line_batch(rho, rho)[4][0]) - target
+
+    lo, hi = 1.0 + 1e-6, rho_max
+    flo, fhi = f(lo), f(hi)
+    if flo * fhi > 0:
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if flo * fm <= 0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("rho_max", [20.0, 5.0])
+def test_symmetric_trace_roots_match_scalar_bisection(rho_max):
+    targets = sorted({2.0 + a + b for a, b in (c.pair for c in enumerate_pairs())})
+    by_target = fourbody._symmetric_trace_roots(rho_max)
+    assert sorted(by_target) == targets
+    roots = [by_target[t] for t in targets]
+    assert roots == [_scalar_trace_root(t, rho_max) for t in targets]
+    assert all(rho is None or type(rho) is float for rho in roots)
+    # every target has a root below 20; from 38 on they lie beyond 5
+    assert (None in roots) == (rho_max == 5.0)
+
+
+def _scalar_plane_contractions(rho1, rho2, masses):
+    """The four plane contractions at one shape through the scalar API."""
+    w1 = np.array([2.0, -1.0 - rho1, rho1 - 1.0, 0.0])
+    w2 = np.array([0.0, rho2 - 1.0, -1.0 - rho2, 2.0])
+    w1, w2 = w1 / np.linalg.norm(w1), w2 / np.linalg.norm(w2)
+    mv = MassVector(masses)
+    cf = Configuration(_positions(rho1, rho2)[0])
+    return [third_contract(mv, cf, x, y, z)
+            for x, y, z in ((w1, w1, w1), (w1, w1, w2), (w1, w2, w2), (w2, w2, w2))]
+
+
+def test_plane_contractions_batch_matches_scalar_third_contract():
+    keys = sorted(ORDER2_EXCLUDED)
+    loci = [locus for *_, locus in fourbody._z0_loci(keys, 20.0, 120)]
+    assert {k: len(locus) for k, locus in zip(keys, loci)} == LOCUS_POINTS_120
+    points = np.concatenate(loci)
+    lam = np.repeat(np.array(keys), [len(locus) for locus in loci], axis=0)
+    masses = fourbody._matched_masses(lam, _line_batch(points[:, 0], points[:, 1]))
+    # the symmetric solutions with t > 0, as the order-2 stage takes them
+    for lam1, lam2 in keys:
+        rho = fourbody._symmetric_trace_roots(20.0)[2.0 + lam1 + lam2]
+        _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
+        for t in fourbody._z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
+            if t > 0:
+                points = np.vstack([points, [rho, rho]])
+                masses = np.vstack([masses, m0[0] + t * dm[0]])
+    assert len(points) > sum(LOCUS_POINTS_120.values())
+    batch = fourbody._plane_contractions(points[:, 0], points[:, 1], masses)
+    assert batch.tolist() == [_scalar_plane_contractions(r1, r2, m)
+                              for (r1, r2), m in zip(points, masses)]
+
+
+@pytest.mark.parametrize("pair", [*sorted(ORDER2_EXCLUDED), (9, 14), (5, 9)])
+def test_classify_pairs_evidence_matches_the_one_key_path(classified_120, pair):
+    # the batch over all 26 pairs moves no bit against each pair on its own
+    staged = pair_feasibility(pair, rho_max=20.0, cells=120)
+    if pair in ORDER2_EXCLUDED:
+        excl = order2_exclusion_4body(pair, rho_max=20.0, cells=120)
+        status, evidence = excl.status, {**staged.evidence, **excl.evidence}
+        assert type(evidence["nonsym_min_max_contraction"]) is float
+        assert type(evidence["sym_min_max_contraction"]) in (float, type(None))
+    elif staged.status == "feasible":
+        status = staged.status
+        evidence = {**staged.evidence, "order2_conditions": ORDER2_CONDITION_COUNTS[pair]}
+    else:
+        status, evidence = staged.status, staged.evidence
+    assert classified_120[pair].status == status
+    assert classified_120[pair].evidence == evidence

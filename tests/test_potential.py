@@ -9,6 +9,7 @@ from nbodylab.potential import (
     Configuration,
     MassVector,
     _pair_index,
+    _third_contract_batch,
     acceleration,
     eval_potential,
     gradient,
@@ -102,6 +103,54 @@ def test_third_contract_symmetric_in_arguments():
     ref = third_contract(masses, cfg, x, y, z)
     for perm in ((x, z, y), (y, x, z), (z, y, x)):
         npt.assert_allclose(third_contract(masses, cfg, *perm), ref, rtol=1e-12)
+
+
+# fixed inputs per dimension d: (masses, coords, x, y, z, D^3 V[x, y, z])
+_THIRD_CONTRACT_CASES = {
+    1: ([0.3, 1.2, 0.7, 2.1], [[-2.5], [-1.0], [1.0], [3.25]], [0.6, -0.2, 0.1, -0.5],
+        [0.1, 0.4, -0.3, 0.2], [-0.7, 0.25, 0.5, 0.05], 0.06618449366268228),
+    2: ([1.0, 0.5, 2.0], [[0.0, 0.0], [1.5, 0.2], [-0.4, 1.1]],
+        [[0.2, -0.1], [0.0, 0.3], [-0.5, 0.4]], [[1.0, 0.0], [0.25, -0.75], [0.1, 0.2]],
+        [[-0.3, 0.6], [0.4, 0.4], [0.0, -1.0]], 2.2098811596799353),
+    3: ([0.8, 1.1, 0.4, 1.7, 0.9],
+        [[0.0, 0.0, 0.0], [1.0, 0.2, -0.3], [-0.6, 1.3, 0.4], [0.5, -0.9, 1.2],
+         [-1.1, -0.4, -0.8]],
+        [[0.1, 0.2, 0.3], [-0.2, 0.0, 0.5], [0.4, -0.1, 0.0], [0.0, 0.6, -0.3],
+         [0.25, 0.25, -0.5]],
+        [[0.3, -0.3, 0.1], [0.2, 0.2, 0.2], [-0.4, 0.0, 0.7], [0.5, 0.1, -0.1],
+         [0.0, -0.6, 0.3]],
+        [[-0.2, 0.4, 0.0], [0.1, -0.5, 0.3], [0.6, 0.2, -0.2], [-0.3, 0.0, 0.4],
+         [0.2, 0.1, 0.1]], 0.5507742137552838),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_third_contract_values_are_frozen(d):
+    # the values the per-pair scalar kernel returned before it became a batch
+    # of one over _third_contract_batch: every bit must stay
+    m, q, x, y, z, expected = _THIRD_CONTRACT_CASES[d]
+    assert third_contract(m, q, x, y, z) == expected
+    shape = (1, *np.shape(q))
+    batch = _third_contract_batch(np.asarray([m]), *(np.reshape(v, shape) for v in (q, x, y, z)))
+    assert batch.tolist() == [expected]
+
+
+def test_third_contract_batch_of_four_bodies_matches_each_row():
+    # for n = 4 a longer batch keeps each row's bits; the plane contractions
+    # of the 4-body pair pipeline rely on it
+    rng = np.random.default_rng(11)
+    m = rng.uniform(-1.0, 3.0, (50, 4))
+    q = np.sort(rng.uniform(-5.0, 5.0, (50, 4)), axis=1)[..., None]
+    x, y, z = (rng.normal(size=(50, 4, 1)) for _ in range(3))
+    batch = _third_contract_batch(m, q, x, y, z)
+    assert batch.tolist() == [third_contract(*row) for row in zip(m, q, x, y, z)]
+
+
+def test_third_contract_batch_names_the_colliding_pair():
+    q = np.array([[[0.0], [1.0], [2.0]], [[0.0], [1.0], [1.0 + 5e-9]]])
+    x = np.ones((2, 3, 1))
+    with pytest.raises(CollisionError, match=r"bodies 1 and 2 .*\(floor 1.0e-08\)"):
+        _third_contract_batch(np.ones((2, 3)), q, x, x, x)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 7.3])
