@@ -27,20 +27,31 @@ class CliUsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems (including unknown flags) exit with status 1
+    # usage problems (including unknown flags) exit with status 1 and one
+    # line, in the same form as a CliUsageError; --help shows the usage
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list:
+def _finite_float(text: str) -> float:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _int_list(text: str) -> list:
@@ -50,14 +61,17 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
-def _sample_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {value}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """Argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"need at least {minimum} {what}, got {value}")
+        return value
+    return parse
 
 
 def _fraction(text: str) -> Fraction:
@@ -94,16 +108,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ek)
 
     p = sub.add_parser("sweep", help="4-body boundary trace sweep over shape space")
-    p.add_argument("--rho-max", type=float, default=20.0, help="upper edge of both axes")
+    p.add_argument("--rho-max", type=_finite_float, default=20.0,
+                   help="upper edge of both axes")
     p.add_argument("--cells", type=int, default=400, help="grid cells per axis")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1, "worker"), default=None,
+                   help="worker processes (at least 1)")
     p.add_argument("--no-refine", action="store_true", help="skip local refinement")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pairs", help="classify admissible 4-body eigenvalue pairs")
     p.add_argument("--mode", choices=("nonsymmetric", "symmetric", "full"),
                    default="full", help="which feasibility stage to run")
-    p.add_argument("--rho-max", type=float, default=20.0, help="search window edge")
+    p.add_argument("--rho-max", type=_finite_float, default=20.0, help="search window edge")
     p.add_argument("--cells", type=int, default=240, help="grid cells per axis")
     p.set_defaults(func=cmd_pairs)
 
@@ -119,16 +135,18 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=_SIMULATE_MODELS,
                    default=None, help="which chart to integrate")
     p.add_argument("--n", type=int, help="polygon size for the n3 model (default 4)")
-    p.add_argument("--kappa", type=float, help="kepler strength (default 1)")
+    p.add_argument("--kappa", type=_finite_float, help="kepler strength (default 1)")
     p.add_argument("--dof", type=int, help="kepler degrees of freedom (default 3)")
     p.add_argument("--masses", type=_float_list, default=None, help="full-model masses")
     p.add_argument("--d", type=int, help="full-model space dimension (default 2)")
     p.add_argument("--q0", type=_float_list, default=None, help="initial positions")
     p.add_argument("--p0", type=_float_list, default=None, help="initial momenta")
-    p.add_argument("--t-end", type=float, default=None, help="integration time")
-    p.add_argument("--samples", type=_sample_count, default=2001,
+    p.add_argument("--t-end", type=_positive_float, default=None,
+                   help="integration time (> 0)")
+    p.add_argument("--samples", type=_int_at_least(2, "samples"), default=2001,
                    help="output samples (at least 2)")
-    p.add_argument("--rtol", type=float, default=1e-12, help="integrator tolerance")
+    p.add_argument("--rtol", type=_positive_float, default=1e-12,
+                   help="integrator tolerance (> 0)")
     p.add_argument("--init-json", default=None,
                    help="JSON model file; its fields (model, n, kappa, dof, masses, "
                         "d, q0, p0, t_end) fill the flags not typed")
@@ -142,9 +160,10 @@ def build_parser() -> _Parser:
                    help="masses for the colinear subspace or a JSON-free custom check")
     p.add_argument("--json", dest="json_file", default=None,
                    help="JSON file with masses, d and basis_rows")
-    p.add_argument("--samples", type=int, default=50, help="random points to draw")
+    p.add_argument("--samples", type=_int_at_least(1, "sample"), default=50,
+                   help="random points to draw (at least 1)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--threshold", type=float, default=1e-9, help="pass threshold")
+    p.add_argument("--threshold", type=_finite_float, default=1e-9, help="pass threshold")
     p.set_defaults(func=cmd_check_subspace)
 
     for sp in sub.choices.values():
@@ -152,9 +171,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_body_count(masses, n):
+def _check_bodies(masses, n=None, order=None):
+    """Usage checks of --masses, --n and --order before any solve."""
+    if len(masses) < 2:
+        raise CliUsageError(f"--masses needs at least two entries, got {len(masses)}")
     if n is not None and n != len(masses):
         raise CliUsageError(f"--n {n} does not match {len(masses)} masses")
+    if order is not None and sorted(order) != list(range(len(masses))):
+        raise CliUsageError(f"--order must be a permutation of 0..{len(masses) - 1}")
+
+
+def _check_grid(args):
+    if args.cells < 2 or args.rho_max <= 1.0:
+        raise CliUsageError(f"{args.subcommand} needs --cells >= 2 and --rho-max > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +200,7 @@ def _write_eigenvalues_csv(report: RunReport, rep):
 
 
 def cmd_solve_cc(args, report: RunReport):
-    _check_body_count(args.masses, args.n)
+    _check_bodies(args.masses, args.n, args.order)
     mv = MassVector(np.asarray(args.masses, dtype=float))
     cc = central.moulton_solve(mv, order=args.order)  # already normalized
     spec = hessian_w(cc.masses, cc.config).spectrum()
@@ -233,8 +262,7 @@ def _sweep_csv_chunks(result):
 
 
 def cmd_sweep(args, report: RunReport):
-    if args.cells < 2 or args.rho_max <= 1.0:
-        raise CliUsageError("sweep needs --cells >= 2 and --rho-max > 1")
+    _check_grid(args)
     result = fourbody.trace_sweep(rho_max=args.rho_max, cells=args.cells,
                                   jobs=args.jobs, refine=not args.no_refine)
     r1, r2, m3, which = result.argmax
@@ -255,6 +283,7 @@ def cmd_sweep(args, report: RunReport):
 
 
 def cmd_pairs(args, report: RunReport):
+    _check_grid(args)
     if args.mode == "full":
         cands = fourbody.classify_pairs(rho_max=args.rho_max, cells=args.cells)
     else:
@@ -288,7 +317,7 @@ def cmd_pairs(args, report: RunReport):
 
 
 def cmd_planar(args, report: RunReport):
-    _check_body_count(args.masses, args.n)
+    _check_bodies(args.masses, args.n, args.order)
     mv = MassVector(np.asarray(args.masses, dtype=float))
     rep = admissibility.planar_spectrum(mv, order=args.order)
     inadmissible = [float(v) for v, m in zip(rep.eigenvalues, rep.matches) if m is None]
@@ -346,6 +375,7 @@ def _build_chart(args):
         return chart, q0, p0, period
     if args.masses is None:
         raise CliUsageError("--model full needs --masses")
+    _check_bodies(args.masses)
     chart = models.NBodyChart(MassVector(np.asarray(args.masses, dtype=float)), args.d)
     return chart, None, None, None
 
@@ -357,6 +387,10 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
 
 
 def _is_number_list(value) -> bool:
@@ -376,7 +410,7 @@ _SIMULATE_FIELDS = {
     "d": (2, _is_int, "an integer"),
     "q0": (None, _is_number_list, "a list of finite numbers"),
     "p0": (None, _is_number_list, "a list of finite numbers"),
-    "t_end": (None, _is_number, "a finite number"),
+    "t_end": (None, _is_positive, "a finite number > 0"),
 }
 
 
@@ -460,6 +494,7 @@ def cmd_check_subspace(args, report: RunReport):
         sub = models.n3_subspace(args.n)
     elif args.builtin == "colinear":
         masses = args.masses if args.masses is not None else [1.0, 1.0, 1.0]
+        _check_bodies(masses)
         sub = models.colinear_subspace(np.asarray(masses, dtype=float))
     else:
         raise CliUsageError("pick --builtin or supply --json")

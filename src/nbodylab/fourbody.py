@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -270,6 +269,8 @@ def trace_sweep(rho_max: float = 20.0, cells: int = 400, jobs: int | None = None
     parts = [slice(s, s + _CHUNK) for s in range(0, i1.size, _CHUNK)]
     pieces = ((axis[i1[part]], axis[i2[part]]) for part in parts)
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only this path needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_chunk, pieces))
     else:

@@ -13,6 +13,10 @@ The simulator integrates Hamilton's equations for small chart Hamiltonians
 chart's gradient raises ``CollisionError`` when a surviving separation is
 ``COLLISION_FLOOR`` (1e-8, from ``potential``) or smaller; ``simulate`` turns
 such a collision in the middle of a run into ``StepFailureError``.
+
+``simulate`` is the package's only user of scipy: it imports
+``scipy.integrate.solve_ivp`` on its first call, so importing this module (or
+the package, or running any other CLI subcommand) never loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CollisionError, StepFailureError
 from .potential import (
@@ -534,6 +537,8 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
         except CollisionError as exc:
             raise StepFailureError(f"collision floor reached during a step: {exc}") from exc
         return np.concatenate([p / chart.dof_masses, grad])
+
+    from scipy.integrate import solve_ivp  # not at import: no other path needs scipy
 
     sol = solve_ivp(
         rhs,

@@ -1,11 +1,15 @@
 """Public API: every exported name resolves and the package exports only those.
 
-Also checks that every function the benchmark's tracer wraps still exists.
+Also checks that every function the benchmark's tracer wraps still exists, and
+that importing the package loads neither scipy nor a process pool.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,14 @@ def test_traced_functions_resolve():
             assert meth in vars(getattr(mod, cls_name)), f"{owner}.{attr}"
         else:
             assert callable(getattr(mod, attr, None)), f"{owner}.{attr}"
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # scipy serves only models.simulate and the process pool only sweep --jobs
+    # above 1; both load on first use, so every other command starts without them
+    src = Path(nbodylab.__file__).resolve().parents[1]
+    probe = ("import sys, nbodylab, nbodylab.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nbodylab import reporting
+from nbodylab import models, reporting
 from nbodylab.cli import _sweep_csv_chunks, main
 from nbodylab.fourbody import TraceSweepResult, trace_sweep
 from nbodylab.reporting import RunReport, validate_payload
@@ -495,6 +495,74 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
         (tmp_path / "subspace.json").write_text(json.dumps(spec))
     out = tmp_path / "runs"
     assert main([*argv, "--out", str(out)]) == 1
+    assert [p for p in out.glob("*") if p.is_dir()] == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--model", "kepler", "--t-end", "inf"],
+     "argument --t-end: non-finite value 'inf'"),
+    (["simulate", "--model", "kepler", "--t-end", "1", "--rtol", "nan"],
+     "argument --rtol: non-finite value 'nan'"),
+    (["simulate", "--model", "kepler", "--kappa", "nan", "--t-end", "1"],
+     "argument --kappa: non-finite value 'nan'"),
+    (["check-subspace", "--builtin", "five-body", "--threshold", "nan"],
+     "argument --threshold: non-finite value 'nan'"),
+    (["sweep", "--rho-max", "inf", "--cells", "20"], "argument --rho-max: non-finite"),
+    (["pairs", "--rho-max", "nan", "--cells", "20"], "argument --rho-max: non-finite"),
+    (["simulate", "--model", "kepler", "--t-end", "0"], "argument --t-end: must be > 0"),
+    (["simulate", "--model", "kepler", "--t-end", "-2"], "argument --t-end: must be > 0"),
+    (["simulate", "--model", "kepler", "--t-end", "1", "--rtol", "0"],
+     "argument --rtol: must be > 0"),
+    (["simulate", "--init-json", "orbit.json"],
+     "--init-json: t_end must be a finite number > 0, not 0"),
+    (["sweep", "--jobs", "-3", "--cells", "20"], "argument --jobs: need at least 1"),
+    (["sweep", "--jobs", "0", "--cells", "20"], "argument --jobs: need at least 1"),
+    (["pairs", "--cells", "1"], "pairs needs --cells >= 2 and --rho-max > 1"),
+    (["pairs", "--rho-max", "1"], "pairs needs --cells >= 2 and --rho-max > 1"),
+    (["pairs", "--rho-max", "0.5", "--mode", "symmetric"],
+     "pairs needs --cells >= 2 and --rho-max > 1"),
+    (["solve-cc", "--masses", "1"], "--masses needs at least two entries, got 1"),
+    (["solve-cc", "--masses", ",,"], "--masses needs at least two entries, got 0"),
+    (["planar", "--masses", "2"], "--masses needs at least two entries, got 1"),
+    (["simulate", "--model", "full", "--masses", "1", "--q0", "0,0", "--p0", "0,0",
+      "--t-end", "1"], "--masses needs at least two entries, got 1"),
+    (["solve-cc", "--masses", "1,2,3", "--order", "0,0,1"],
+     "--order must be a permutation of 0..2"),
+    (["solve-cc", "--masses", "1,2,3", "--order", "0,1"],
+     "--order must be a permutation of 0..2"),
+    (["planar", "--masses", "1,2,3", "--order", "2,1,3"],
+     "--order must be a permutation of 0..2"),
+    (["check-subspace", "--builtin", "colinear", "--masses", "1"],
+     "--masses needs at least two entries, got 1"),
+    (["check-subspace", "--builtin", "five-body", "--samples", "0"],
+     "argument --samples: need at least 1 sample, got 0"),
+], ids=["t-end-inf", "rtol-nan", "kappa-nan", "threshold-nan", "sweep-rho-max-inf",
+        "pairs-rho-max-nan", "t-end-zero", "t-end-negative", "rtol-zero",
+        "init-json-t-end-zero", "jobs-negative", "jobs-zero", "pairs-one-cell",
+        "pairs-rho-max-1", "pairs-rho-max-below-1", "solve-cc-one-mass",
+        "solve-cc-no-mass", "planar-one-mass", "full-one-mass", "order-repeat",
+        "order-short", "planar-order-out-of-range", "colinear-one-mass",
+        "check-subspace-no-samples"])
+def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        argv, message):
+    # every case is rejected before any work: were one to reach the integrator
+    # (two of them used to run forever there), the test fails instead of hanging
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a rejected run reached models.simulate")
+
+    monkeypatch.setattr(models, "simulate", no_integration)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps({"model": "kepler", "t_end": 0}))
+    out = tmp_path / "runs"
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"nbodylab {argv[0]}: error: ")
+    assert message in err
     assert [p for p in out.glob("*") if p.is_dir()] == []
 
 
