@@ -81,6 +81,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+# the largest grid each grid subcommand accepts; the peak RSS at each limit is
+# about 0.3 GB: sweep keeps its feasible cells, pairs the whole grid's mass line
+_MAX_CELLS = {"sweep": 3000, "pairs": 1000}
+
 # the chart fields each model reads; model, q0, p0 and t_end serve them all
 _MODEL_FIELDS = {"five-body": (), "n3": ("n",), "kepler": ("kappa", "dof"),
                  "full": ("masses", "d")}
@@ -110,7 +114,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="4-body boundary trace sweep over shape space")
     p.add_argument("--rho-max", type=_finite_float, default=20.0,
                    help="upper edge of both axes")
-    p.add_argument("--cells", type=int, default=400, help="grid cells per axis")
+    p.add_argument("--cells", type=int, default=400,
+                   help=f"grid cells per axis (2 to {_MAX_CELLS['sweep']})")
     p.add_argument("--jobs", type=_int_at_least(1, "worker"), default=None,
                    help="worker processes (at least 1)")
     p.add_argument("--no-refine", action="store_true", help="skip local refinement")
@@ -120,7 +125,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("nonsymmetric", "symmetric", "full"),
                    default="full", help="which feasibility stage to run")
     p.add_argument("--rho-max", type=_finite_float, default=20.0, help="search window edge")
-    p.add_argument("--cells", type=int, default=240, help="grid cells per axis")
+    p.add_argument("--cells", type=int, default=240,
+                   help=f"grid cells per axis (2 to {_MAX_CELLS['pairs']})")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("planar", help="planar spectrum verdict at a colinear configuration")
@@ -138,7 +144,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=_finite_float, help="kepler strength (default 1)")
     p.add_argument("--dof", type=int, help="kepler degrees of freedom (default 3)")
     p.add_argument("--masses", type=_float_list, default=None, help="full-model masses")
-    p.add_argument("--d", type=int, help="full-model space dimension (default 2)")
+    p.add_argument("--d", type=_int_at_least(1, "dimension"),
+                   help="full-model space dimension (default 2)")
     p.add_argument("--q0", type=_float_list, default=None, help="initial positions")
     p.add_argument("--p0", type=_float_list, default=None, help="initial momenta")
     p.add_argument("--t-end", type=_positive_float, default=None,
@@ -184,6 +191,9 @@ def _check_bodies(masses, n=None, order=None):
 def _check_grid(args):
     if args.cells < 2 or args.rho_max <= 1.0:
         raise CliUsageError(f"{args.subcommand} needs --cells >= 2 and --rho-max > 1")
+    limit = _MAX_CELLS[args.subcommand]
+    if args.cells > limit:
+        raise CliUsageError(f"{args.subcommand} takes at most --cells {limit}, got {args.cells}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +417,7 @@ _SIMULATE_FIELDS = {
     "kappa": (1.0, _is_number, "a finite number"),
     "dof": (3, _is_int, "an integer"),
     "masses": (None, _is_number_list, "a list of finite numbers"),
-    "d": (2, _is_int, "an integer"),
+    "d": (2, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "q0": (None, _is_number_list, "a list of finite numbers"),
     "p0": (None, _is_number_list, "a list of finite numbers"),
     "t_end": (None, _is_positive, "a finite number > 0"),

@@ -12,9 +12,10 @@ eliminate all but the survivors.
 The pair pipeline runs as one batch over pairs, row for row the arithmetic
 of the scalar steps: the grid's mass line is solved once and each pair's Z0
 is trace matched on it; the Z0 sign flips of all pairs are bisected as one
-array (``_bisect_zeros``); each surviving pair hands its full Z0 locus to the
-order-2 stage, whose plane contractions at every locus point are one call of
-the batched kernel behind ``potential.third_contract``; and the symmetric
+array (``_bisect_zeros``), starting from the grid's Z0 at the bracket ends;
+each surviving pair hands its full Z0 locus to the order-2 stage, whose plane
+contractions at every locus point are one call of the batched kernel behind
+``potential.third_contract``; and the symmetric
 trace roots of all enumerated pairs are bisected as one array, once per
 ``rho_max``.  The public ``pair_feasibility`` and ``order2_exclusion_4body``
 run the same path with one pair.
@@ -86,11 +87,35 @@ def _w_batch(inv3, masses):
     return w
 
 
+# from this many rows up, p3's explicit loop is faster than the einsum
+_P3_LOOP_ROWS = 500
+
+
 def _third_invariant(w):
-    """Sum of 3x3 principal minors from power traces."""
+    """Sum of 3x3 principal minors from power traces, for (n, 4, 4) batches.
+
+    The third power trace p3 is bit for bit ``np.einsum("nij,njk,nki->n", w,
+    w, w)`` on a C-ordered batch, or a strided view of one, which is all the
+    callers pass (einsum's summation order follows the operand layout).  There
+    numpy's unoptimised einsum adds the 64 products w_ij * w_jk * w_ki, each
+    multiplied left to right, into a zero-started accumulator in lexicographic
+    (i, j, k) order.  From ``_P3_LOOP_ROWS`` rows up the loop below does the
+    same, one (n,) row per product, about twice as fast; on smaller batches
+    einsum's lower per-call cost wins.  A ``matmul`` form would be faster
+    still, but it sums in another order and moves last bits of Z0, which the
+    frozen pair evidence would show.
+    """
     p1 = np.trace(w, axis1=1, axis2=2)
     p2 = np.einsum("nij,nji->n", w, w)
-    p3 = np.einsum("nij,njk,nki->n", w, w, w)
+    if w.shape[0] < _P3_LOOP_ROWS:
+        p3 = np.einsum("nij,njk,nki->n", w, w, w)
+    else:
+        wt = np.ascontiguousarray(np.moveaxis(w, 0, -1))  # (4, 4, n)
+        p3 = np.zeros(w.shape[0])
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    p3 += wt[i, j] * wt[j, k] * wt[k, i]
     return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
 
 
@@ -367,38 +392,45 @@ def _z0_points(lam, r1, r2):
     return _z0_from_line(np.asarray(lam), _line_batch(r1, r2))
 
 
-def _bisect_zeros(lam, p, q, iters=60):
+def _bisect_zeros(lam, p, q, fp, fq, iters=60):
     """Refine the Z0 sign changes along the segments p[i] -> q[i], all at once.
 
-    p and q are (k, 2) arrays of bracket ends, and ``lam`` holds the
-    eigenvalue pair of every row, shape (k, 2), or one pair for all, so the
-    flips of several pairs share each step's line solve.  Each row runs the
-    scalar bisection: midpoint 0.5 * (p + q), keep the half where fp * fm <= 0,
-    and after ``iters`` steps accept the midpoint when |Z0| there is below
-    max(1e-6, 1e-3 * min(|fp|, |fq|)) of the original ends (a genuine zero
-    shrinks |Z0| below the bracket scale; a pole grows it).  A row is dropped
-    when its ends do not change sign or when an end or any midpoint is not
-    finite; dropped rows are not evaluated again.  Returns (midpoints, accepted).
+    p and q are (k, 2) arrays of bracket ends and fp, fq their Z0 values, as
+    _z0_points gives them; ``lam`` holds the eigenvalue pair of every row,
+    shape (k, 2), or one pair for all, so the flips of several pairs share
+    each step's line solve.  Each row runs the scalar bisection: midpoint
+    0.5 * (p + q), keep the half where fp * fm <= 0, and after ``iters`` steps
+    accept the midpoint when |Z0| there is below max(1e-6, 1e-3 * min(|fp|,
+    |fq|)) of the original ends (a genuine zero shrinks |Z0| below the bracket
+    scale; a pole grows it).  A row is dropped when its ends do not change
+    sign or when an end or any midpoint is not finite.  A row is retired once
+    its midpoint equals p or q in both coordinates: the bracket has collapsed,
+    Z0 there is fp or fq again, and by fp * fq <= 0 every later step keeps
+    the midpoint where it is.  Dropped and retired rows are not evaluated
+    again.  Returns (midpoints, accepted).
     """
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
+    fp = np.array(fp, dtype=float)
     k = p.shape[0]
     lam = np.broadcast_to(np.asarray(lam), (k, 2))
-    ends = _z0_points(np.concatenate([lam, lam]), np.concatenate([p[:, 0], q[:, 0]]),
-                      np.concatenate([p[:, 1], q[:, 1]]))
-    fp, fq = ends[:k], ends[k:]
     live = np.isfinite(fp) & np.isfinite(fq)
     with np.errstate(over="ignore"):  # overflow to inf keeps the sign, as Python floats do
         live &= ~(fp * fq > 0)
     scale = np.minimum(np.abs(fp), np.abs(fq))
+    active = live.copy()
     for _ in range(iters):
-        rows = np.flatnonzero(live)
+        rows = np.flatnonzero(active)
+        mid = 0.5 * (p[rows] + q[rows])
+        done = (mid == p[rows]).all(axis=1) | (mid == q[rows]).all(axis=1)
+        active[rows[done]] = False
+        rows, mid = rows[~done], mid[~done]
         if rows.size == 0:
             break
-        mid = 0.5 * (p[rows] + q[rows])
         fm = _z0_points(lam[rows], mid[:, 0], mid[:, 1])
         finite = np.isfinite(fm)
         live[rows[~finite]] = False
+        active[rows[~finite]] = False
         rows, mid, fm = rows[finite], mid[finite], fm[finite]
         with np.errstate(over="ignore"):
             left = fp[rows] * fm <= 0
@@ -432,9 +464,11 @@ def _z0_grid(keys, rho_max, cells):
     """Z0 of each pair on the strict rho1 > rho2 grid, reduced to its evidence.
 
     The grid's mass line is solved once (in chunks of ``_CHUNK`` cells) and
-    every pair's Z0 is trace matched on it, one pair at a time.  Returns the
-    (n, 2) grid shapes and, per key, (cells with finite Z0, min |Z0| over the
-    cells, sign-flip ends a, b as flat indices into the shapes).
+    every pair's Z0 is trace matched on it, one pair at a time; each row's
+    arithmetic is _z0_points' at that shape.  Returns the (n, 2) grid shapes
+    and, per key, (cells with finite Z0, min |Z0| over the cells, sign-flip
+    ends a, b as flat indices into the shapes, Z0 at a, Z0 at b), so the
+    bisection starts from the grid's Z0 at its bracket ends.
     """
     axis = _grid_axes(rho_max, cells)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
@@ -450,7 +484,8 @@ def _z0_grid(keys, rho_max, cells):
         finite = np.isfinite(z0)
         min_abs = float(np.nanmin(np.abs(z0))) if finite.any() else math.nan
         zgrid[mask] = z0
-        out.append((int(finite.sum()), min_abs, *_grid_sign_changes(zgrid)))
+        a, b = _grid_sign_changes(zgrid)
+        out.append((int(finite.sum()), min_abs, a, b, zgrid.flat[a], zgrid.flat[b]))
     return np.column_stack([g1.ravel(), g2.ravel()]), out
 
 
@@ -462,14 +497,13 @@ def _z0_loci(keys, rho_max, cells):
     as an (h, 2) array of (rho1, rho2)).
     """
     shapes, grids = _z0_grid(keys, rho_max, cells)
-    counts = [a.size for _, _, a, _ in grids]
-    a = np.concatenate([a for _, _, a, _ in grids])
-    b = np.concatenate([b for _, _, _, b in grids])
+    counts = [grid[2].size for grid in grids]
+    a, b, fa, fb = (np.concatenate([grid[i] for grid in grids]) for i in range(2, 6))
     lam = np.repeat(np.array(keys, dtype=int).reshape(-1, 2), counts, axis=0)
-    mid, accepted = _bisect_zeros(lam, shapes[a], shapes[b])
+    mid, accepted = _bisect_zeros(lam, shapes[a], shapes[b], fa, fb)
     ends = np.cumsum([0, *counts])
     return [(n_cells, min_abs, n, mid[lo:hi][accepted[lo:hi]])
-            for (n_cells, min_abs, _, _), n, lo, hi in zip(grids, counts, ends[:-1], ends[1:])]
+            for (n_cells, min_abs, *_), n, lo, hi in zip(grids, counts, ends[:-1], ends[1:])]
 
 
 def _nonsym_candidate(key, grid_cells, min_abs_z0, n_flips, zeros):

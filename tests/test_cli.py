@@ -536,13 +536,23 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
      "--masses needs at least two entries, got 1"),
     (["check-subspace", "--builtin", "five-body", "--samples", "0"],
      "argument --samples: need at least 1 sample, got 0"),
+    (["simulate", "--model", "full", "--masses", "1,1", "--d", "0", "--q0", ",",
+      "--p0", ",", "--t-end", "1"], "argument --d: need at least 1 dimension, got 0"),
+    (["simulate", "--init-json", "flat.json", "--q0", ",", "--p0", ",", "--t-end", "1"],
+     "--init-json: d must be an integer >= 1, not 0"),
+    (["pairs", "--cells", "100000000"], "pairs takes at most --cells 1000, got 100000000"),
+    (["pairs", "--cells", "1001", "--mode", "symmetric"],
+     "pairs takes at most --cells 1000, got 1001"),
+    (["sweep", "--cells", "100000000"], "sweep takes at most --cells 3000, got 100000000"),
+    (["sweep", "--cells", "3001", "--jobs", "2"], "sweep takes at most --cells 3000, got 3001"),
 ], ids=["t-end-inf", "rtol-nan", "kappa-nan", "threshold-nan", "sweep-rho-max-inf",
         "pairs-rho-max-nan", "t-end-zero", "t-end-negative", "rtol-zero",
         "init-json-t-end-zero", "jobs-negative", "jobs-zero", "pairs-one-cell",
         "pairs-rho-max-1", "pairs-rho-max-below-1", "solve-cc-one-mass",
         "solve-cc-no-mass", "planar-one-mass", "full-one-mass", "order-repeat",
         "order-short", "planar-order-out-of-range", "colinear-one-mass",
-        "check-subspace-no-samples"])
+        "check-subspace-no-samples", "full-d-zero", "init-json-d-zero", "pairs-cells-1e8",
+        "pairs-cells-1001", "sweep-cells-1e8", "sweep-cells-3001"])
 def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                         argv, message):
     # every case is rejected before any work: were one to reach the integrator
@@ -553,6 +563,8 @@ def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkey
     monkeypatch.setattr(models, "simulate", no_integration)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "orbit.json").write_text(json.dumps({"model": "kepler", "t_end": 0}))
+    (tmp_path / "flat.json").write_text(json.dumps({"model": "full", "masses": [1, 1],
+                                                    "d": 0}))
     out = tmp_path / "runs"
     try:
         code = main([*argv, "--out", str(out)])

@@ -327,7 +327,9 @@ def test_bisect_zeros_matches_scalar_bisection():
     q = np.vstack([q, [2.93, 3.01], [3.0, 2.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        mid, accepted = fourbody._bisect_zeros(pair, p, q)
+        fp = fourbody._z0_points(pair, p[:, 0], p[:, 1])
+        fq = fourbody._z0_points(pair, q[:, 0], q[:, 1])
+        mid, accepted = fourbody._bisect_zeros(pair, p, q, fp, fq)
     assert not accepted[-2:].any()
     for k in range(len(p)):
         ref = _scalar_bisect(pair, tuple(p[k]), tuple(q[k]))
@@ -335,6 +337,73 @@ def test_bisect_zeros_matches_scalar_bisection():
         if ref is not None:
             assert tuple(mid[k]) == ref
     assert accepted[:-2].all()
+
+
+def _einsum_third_invariant(w):
+    """The third invariant with p3 from numpy's three-operand einsum."""
+    p1 = np.trace(w, axis1=1, axis2=2)
+    p2 = np.einsum("nij,nji->n", w, w)
+    p3 = np.einsum("nij,njk,nki->n", w, w, w)
+    return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 499, 500, 2579, 20_000])
+@pytest.mark.parametrize("loop_rows", [0, fourbody._P3_LOOP_ROWS], ids=["loop", "default"])
+def test_third_invariant_is_einsum_bit_for_bit(monkeypatch, n, loop_rows):
+    monkeypatch.setattr(fourbody, "_P3_LOOP_ROWS", loop_rows)
+    rng = np.random.default_rng(n)
+    w = rng.standard_normal((n, 4, 4)) * np.exp(rng.uniform(-7.0, 7.0, (n, 4, 4)))
+    ref = _einsum_third_invariant(w)
+    assert np.array_equal(fourbody._third_invariant(w), ref)
+    # strided views keep einsum's summation order; so do small and large entries
+    assert np.array_equal(fourbody._third_invariant(w[::-1]), ref[::-1])
+    wide = np.zeros((n, 8, 8))
+    wide[:, 1::2, ::2] = w
+    assert np.array_equal(fourbody._third_invariant(wide[:, 1::2, ::2]), ref)
+    for scale in (1e-3, 1e3):
+        assert np.array_equal(fourbody._third_invariant(scale * w),
+                              _einsum_third_invariant(scale * w))
+
+
+def test_third_invariant_is_einsum_on_every_pair_grid():
+    axis = fourbody._grid_axes(20.0, 120)
+    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+    mask = g1 > g2
+    line = _line_batch(g1[mask], g2[mask])
+    for cand in enumerate_pairs():
+        w = fourbody._w_batch(line[1], fourbody._matched_masses(np.array(cand.pair), line))
+        assert np.array_equal(fourbody._third_invariant(w), _einsum_third_invariant(w))
+
+
+def test_grid_z0_at_the_flips_is_a_fresh_evaluation():
+    keys = [c.pair for c in enumerate_pairs()]
+    shapes, grids = fourbody._z0_grid(keys, 20.0, 120)
+    for key, (_, _, a, b, fa, fb) in zip(keys, grids):
+        assert a.size == SIGN_CHANGES_120.get(key, 0)
+        for idx, f in ((a, fa), (b, fb)):
+            fresh = fourbody._z0_points(key, shapes[idx, 0], shapes[idx, 1])
+            assert np.array_equal(f, fresh)
+
+
+def test_bisection_retires_collapsed_brackets(monkeypatch):
+    keys = sorted(SIGN_CHANGES_120)
+    shapes, grids = fourbody._z0_grid(keys, 20.0, 120)
+    a, b, fa, fb = (np.concatenate([grid[i] for grid in grids]) for i in range(2, 6))
+    lam = np.repeat(np.array(keys), [grid[2].size for grid in grids], axis=0)
+    rows = []
+
+    def counted(r1, r2, *args, **kwargs):
+        rows.append(np.size(r1))
+        return _line_batch(r1, r2, *args, **kwargs)
+
+    monkeypatch.setattr(fourbody, "_line_batch", counted)
+    mid, accepted = fourbody._bisect_zeros(lam, shapes[a], shapes[b], fa, fb)
+    k = a.size
+    assert k == sum(SIGN_CHANGES_120.values())
+    assert accepted.all()
+    # 60 steps of every row would be 60 k rows, the final acceptance test k more
+    assert sum(rows) < 60 * k
+    assert len(rows) <= 61
 
 
 def _scalar_trace_root(target, rho_max):
