@@ -29,6 +29,7 @@ from .errors import (
     SingularRhoError,
 )
 from .potential import (
+    COLLISION_FLOOR,
     Configuration,
     MassVector,
     acceleration,
@@ -272,11 +273,11 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
     order = np.asarray(order, dtype=int)
     if sorted(order.tolist()) != list(range(n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    m_slot = m[order]
+    m_slot = MassVector(m[order])
 
     # unknowns: slot positions 2..n-1, then alpha, then g
     x = np.concatenate([np.arange(n, dtype=float) - 1.0, [0.0, 0.0]])
-    g0 = float(m_slot @ x[:n] / m_slot.sum())
+    g0 = float(m_slot.values @ x[:n] / m_slot.total)
     a0 = acceleration(m_slot, x[:n].reshape(-1, 1))[:, 0]
     x[n] = float(a0[0] / (x[0] - g0))  # crude multiplier seed from leftmost body
     x[n + 1] = g0
@@ -287,6 +288,7 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
         acc = acceleration(m_slot, pos.reshape(-1, 1))[:, 0]
         return acc - alpha * (pos - g)
 
+    free = np.arange(2, n)  # the slots Newton moves
     best = np.inf
     fval = system(x)
     for _ in range(max_iter):
@@ -298,7 +300,8 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
         alpha = x[n]
         w = hessian_w(m_slot, pos.reshape(-1, 1)).matrix
         jac = np.zeros((n, n))
-        jac[:, : n - 2] = w[:, 2:] - alpha * np.eye(n)[:, 2:]
+        jac[:, : n - 2] = w[:, 2:]
+        jac[free, free - 2] -= alpha
         jac[:, n - 2] = -(pos - x[n + 1])
         jac[:, n - 1] = alpha
         try:
@@ -311,7 +314,7 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
             trial[2:n] += lam * step[: n - 2]
             trial[n:] += lam * step[n - 2 :]
             gaps = np.diff(trial[:n])
-            if np.all(gaps > 1e-9):
+            if np.all(gaps > COLLISION_FLOOR):
                 ftrial = system(trial)
                 if np.max(np.abs(ftrial)) < np.max(np.abs(fval)):
                     x, fval = trial, ftrial

@@ -296,13 +296,11 @@ def cmd_pairs(args, report: RunReport):
     _check_grid(args)
     if args.mode == "full":
         cands = fourbody.classify_pairs(rho_max=args.rho_max, cells=args.cells)
+    elif args.mode == "nonsymmetric":
+        cands = fourbody.nonsymmetric_pairs(rho_max=args.rho_max, cells=args.cells)
     else:
-        symmetric = args.mode == "symmetric"
-        cands = [
-            fourbody.pair_feasibility(c.pair, symmetric=symmetric,
-                                      rho_max=args.rho_max, cells=args.cells)
-            for c in fourbody.enumerate_pairs()
-        ]
+        cands = [fourbody.pair_feasibility(c.pair, symmetric=True, rho_max=args.rho_max)
+                 for c in fourbody.enumerate_pairs()]
     counts = {"enumerated": len(cands)}
     for c in cands:
         counts[c.status] = counts.get(c.status, 0) + 1

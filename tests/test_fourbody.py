@@ -485,3 +485,12 @@ def test_classify_pairs_evidence_matches_the_one_key_path(classified_120, pair):
         status, evidence = staged.status, staged.evidence
     assert classified_120[pair].status == status
     assert classified_120[pair].evidence == evidence
+
+
+def test_nonsymmetric_pairs_match_each_pair_on_its_own():
+    # one grid line and one bisection for all pairs move no bit
+    batch = fourbody.nonsymmetric_pairs(rho_max=20.0, cells=40)
+    assert [c.pair for c in batch] == [c.pair for c in enumerate_pairs()]
+    for cand in batch:
+        one = pair_feasibility(cand.pair, rho_max=20.0, cells=40)
+        assert (cand.status, cand.evidence) == (one.status, one.evidence)

@@ -3,9 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbodylab.errors import CollisionError
 from nbodylab.potential import (
+    COLLISION_FLOOR,
     Configuration,
     MassVector,
     _pair_index,
@@ -254,3 +257,72 @@ def test_mass_vector_and_configuration_basics():
     one_d = Configuration(np.array([-1.0, 0.0, 2.0]))
     assert one_d.coords.shape == (3, 1)
     npt.assert_allclose(one_d.flat(), [-1.0, 0.0, 2.0])
+
+
+def w_product_form(m, q):
+    """W from broadcast kernel products: the reference for the in-place build."""
+    diff = q[:, None, :] - q[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n, d = q.shape
+    off = ~np.eye(n, dtype=bool)
+    inv3 = np.zeros_like(dist)
+    inv5 = np.zeros_like(dist)
+    inv3[off] = dist[off] ** -3
+    inv5[off] = dist[off] ** -5
+    kern = 3.0 * inv5[:, :, None, None] * np.einsum("ija,ijb->ijab", diff, diff)
+    kern -= inv3[:, :, None, None] * np.eye(d)[None, None, :, :]
+    wij = -m[None, :, None, None] * kern
+    wij[np.arange(n), np.arange(n)] = -wij.sum(axis=1)
+    return wij.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_general_w_is_the_product_form_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    for n in (2, 3, 7, 40):
+        m = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        q = rng.normal(size=(n, d))
+        assert np.array_equal(hessian_w(m, q).matrix, w_product_form(m, q))
+
+
+def line_problem(rng, n, signed):
+    """Masses and 1-D positions in random order, gaps 0.05 to 1 apart."""
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+    x = rng.permutation(x) - rng.uniform(0.0, 0.5 * n)
+    m = rng.uniform(0.2, 3.0, n)
+    if signed:
+        m *= rng.choice([-1.0, 1.0], n)
+    return m, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), signed=st.booleans())
+def test_line_kernels_match_the_planar_embedding(n, seed, signed):
+    # the d = 1 path against the general kernels' x-block at (x, 0)
+    m, x = line_problem(np.random.default_rng(seed), n, signed)
+    plane = np.column_stack([x, np.zeros(n)])
+    checks = [
+        (gradient(m, x[:, None])[:, 0], gradient(m, plane)[:, 0]),
+        (acceleration(m, x[:, None])[:, 0], acceleration(m, plane)[:, 0]),
+        (hessian_w(m, x[:, None]).matrix, hessian_w(m, plane).matrix[::2, ::2]),
+    ]
+    for line, general in checks:
+        assert line.shape == general.shape
+        assert np.max(np.abs(line - general)) <= 1e-12 * np.max(np.abs(general))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.0, 0.99))
+def test_line_kernels_name_the_colliding_pair_as_the_general_path(n, seed, frac):
+    rng = np.random.default_rng(seed)
+    m, x = line_problem(rng, n, signed=False)
+    i, j = rng.choice(n, 2, replace=False)
+    x[j] = x[i] + frac * COLLISION_FLOOR
+    plane = np.column_stack([x, np.zeros(n)])
+    for kernel in (gradient, acceleration, hessian_w):
+        with pytest.raises(CollisionError) as general:
+            kernel(m, plane)
+        with pytest.raises(CollisionError) as line:
+            kernel(m, x[:, None])
+        assert str(line.value) == str(general.value)
