@@ -14,6 +14,12 @@ chart's gradient raises ``CollisionError`` when a surviving separation is
 ``COLLISION_FLOOR`` (1e-8, from ``potential``) or smaller; ``simulate`` turns
 such a collision in the middle of a run into ``StepFailureError``.
 
+A chart's ``integrals`` takes one state, q and p of shape (dof,), and returns
+Python floats, or a stack of S states, (S, dof) each, and returns (S,) arrays
+whose rows carry the bits of the one-state call.  ``simulate`` evaluates the
+whole integral series in one such call after the integration, so a run's cost
+is almost all right-hand sides: one chart gradient each.
+
 ``simulate`` is the package's only user of scipy: it imports
 ``scipy.integrate.solve_ivp`` on its first call, so importing this module (or
 the package, or running any other CLI subcommand) never loads scipy.
@@ -31,6 +37,7 @@ from .potential import (
     COLLISION_FLOOR,
     Configuration,
     MassVector,
+    _potential_batch,
     acceleration,
     eval_potential,
     gradient,
@@ -89,7 +96,9 @@ def restricted_potential_5body(q4) -> float:
 
 
 def _restricted_gradient_5body(q4):
-    q21, q22, q31, q32 = q4
+    # Python floats: the numpy-scalar arithmetic of the same formula, bit for
+    # bit (both square with libm pow), without numpy's per-operation overhead
+    q21, q22, q31, q32 = q4.tolist()
     s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
     s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
     if min(s1, s2) <= COLLISION_FLOOR**2:
@@ -319,6 +328,33 @@ def check_invariant_subspace(sub: InvariantSubspace, samples: int = 50,
 # chart Hamiltonians
 
 
+def _state_stack(q, p):
+    """C-contiguous (S, dof) stacks of q and p, and whether q was one state."""
+    single = np.ndim(q) == 1
+    q = np.ascontiguousarray(np.atleast_2d(q), dtype=float)
+    p = np.ascontiguousarray(np.atleast_2d(p), dtype=float)
+    return q, p, single
+
+
+def _integral_values(out: dict, single: bool) -> dict:
+    """Python floats for one state, (S,) arrays for a stack."""
+    return {name: float(v[0]) for name, v in out.items()} if single else out
+
+
+def _row_norms(y: np.ndarray) -> np.ndarray:
+    """|y_s| of each row of a C-contiguous (S, k) stack, bit for bit np.linalg.norm.
+
+    A stacked matmul of each row with itself is the BLAS dot product that
+    norm takes of one vector; (y * y).sum(1) and einsum round differently.
+    """
+    return np.sqrt(np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0])
+
+
+def _stack_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x_s of each row of an (S, k) stack, bit for bit the single matvec."""
+    return np.matmul(a, x[:, :, None])[:, :, 0]
+
+
 class NBodyChart:
     """Full n-body system in d dimensions as a chart Hamiltonian."""
 
@@ -346,20 +382,23 @@ class NBodyChart:
         return float(dist.min())
 
     def integrals(self, q, p) -> dict:
-        c = np.asarray(q, dtype=float).reshape(-1, self.d)
-        mom = np.asarray(p, dtype=float).reshape(-1, self.d)
-        out = {"energy": float((p**2 / (2.0 * self.dof_masses)).sum()
-                               - self.potential(q))}
+        q, p, single = _state_stack(q, p)
+        c = q.reshape(q.shape[0], -1, self.d)
+        mom = p.reshape(c.shape)
+        kinetic = (p**2 / (2.0 * self.dof_masses)).sum(axis=1)
+        out = {"energy": kinetic - _potential_batch(self.masses.values, c)}
+        # each axis's momenta as a contiguous row: summed in a single state's order
+        total = np.ascontiguousarray(mom.transpose(0, 2, 1)).sum(axis=2)
         for a in range(self.d):
-            out[f"momentum_{'xyz'[a]}"] = float(mom[:, a].sum())
+            out[f"momentum_{'xyz'[a]}"] = total[:, a]
         if self.d == 2:
-            out["angular_momentum"] = float(
-                (c[:, 0] * mom[:, 1] - c[:, 1] * mom[:, 0]).sum())
+            out["angular_momentum"] = (
+                c[:, :, 0] * mom[:, :, 1] - c[:, :, 1] * mom[:, :, 0]).sum(axis=1)
         elif self.d == 3:
-            ell = np.cross(c, mom).sum(axis=0)
+            ell = np.cross(c, mom).sum(axis=1)
             for a in range(3):
-                out[f"angular_momentum_{'xyz'[a]}"] = float(ell[a])
-        return out
+                out[f"angular_momentum_{'xyz'[a]}"] = ell[:, a]
+        return _integral_values(out, single)
 
 
 class PairedOrbitsChart:
@@ -387,23 +426,32 @@ class PairedOrbitsChart:
         return math.sqrt(2.0) * min(np.linalg.norm(y1), np.linalg.norm(y2))
 
     def integrals(self, q, p) -> dict:
-        y = self._mix @ np.asarray(q, dtype=float)
-        w = self._mix @ np.asarray(p, dtype=float)
-        r1 = np.linalg.norm(y[:2])
-        r2 = np.linalg.norm(y[2:])
-        e1 = 0.5 * (w[0] ** 2 + w[1] ** 2) - FIVE_BODY_KAPPA / r1
-        e2 = 0.5 * (w[2] ** 2 + w[3] ** 2) - FIVE_BODY_KAPPA / r2
-        return {
-            "pair_energy_1": float(e1),
-            "pair_energy_2": float(e2),
-            "pair_angular_momentum_1": float(y[0] * w[1] - y[1] * w[0]),
-            "pair_angular_momentum_2": float(y[2] * w[3] - y[3] * w[2]),
-            "energy": float(e1 + e2),
-        }
+        q, p, single = _state_stack(q, p)
+        y = _stack_matvec(self._mix, q)
+        w = _stack_matvec(self._mix, p)
+        r1 = _row_norms(np.ascontiguousarray(y[:, :2]))
+        r2 = _row_norms(np.ascontiguousarray(y[:, 2:]))
+        # squares in Python floats: libm pow, as the energy of one state was
+        # always squared; w * w and array powers differ in the last bit
+        kin = np.array([(0.5 * (a**2 + b**2), 0.5 * (c**2 + d**2))
+                        for a, b, c, d in w.tolist()])
+        e1 = kin[:, 0] - FIVE_BODY_KAPPA / r1
+        e2 = kin[:, 1] - FIVE_BODY_KAPPA / r2
+        return _integral_values({
+            "pair_energy_1": e1,
+            "pair_energy_2": e2,
+            "pair_angular_momentum_1": y[:, 0] * w[:, 1] - y[:, 1] * w[:, 0],
+            "pair_angular_momentum_2": y[:, 2] * w[:, 3] - y[:, 3] * w[:, 2],
+            "energy": e1 + e2,
+        }, single)
 
 
 class CentralForceChart:
-    """Single particle, unit mass, potential kappa/|q|."""
+    """Single particle, unit mass, potential kappa/|q|.
+
+    |q| is math.sqrt(q @ q): the BLAS dot product np.linalg.norm takes, without
+    its per-call overhead.
+    """
 
     def __init__(self, kappa: float, dof: int = 3, name: str = "central force"):
         self.kappa = float(kappa)
@@ -412,32 +460,36 @@ class CentralForceChart:
         self.name = name
 
     def potential(self, q) -> float:
-        r = float(np.linalg.norm(q))
+        qa = np.asarray(q, dtype=float)
+        r = math.sqrt(qa @ qa)
         if r <= COLLISION_FLOOR:
             raise CollisionError("central-force chart at the origin")
         return self.kappa / r
 
     def gradient(self, q) -> np.ndarray:
         qa = np.asarray(q, dtype=float)
-        r = float(np.linalg.norm(qa))
+        r = math.sqrt(qa @ qa)
         if r <= COLLISION_FLOOR:
             raise CollisionError("central-force chart at the origin")
         return -self.kappa * qa / r**3
 
     def min_separation(self, q) -> float:
-        return float(np.linalg.norm(q))
+        qa = np.asarray(q, dtype=float)
+        return math.sqrt(qa @ qa)
 
     def integrals(self, q, p) -> dict:
-        qa = np.asarray(q, dtype=float)
-        pa = np.asarray(p, dtype=float)
-        out = {"energy": float(0.5 * (pa**2).sum() - self.potential(q))}
+        q, p, single = _state_stack(q, p)
+        r = _row_norms(q)
+        if r.min() <= COLLISION_FLOOR:
+            raise CollisionError("central-force chart at the origin")
+        out = {"energy": 0.5 * (p**2).sum(axis=1) - self.kappa / r}
         if self.dof == 2:
-            out["angular_momentum"] = float(qa[0] * pa[1] - qa[1] * pa[0])
+            out["angular_momentum"] = q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]
         elif self.dof == 3:
-            ell = np.cross(qa, pa)
+            ell = np.cross(q, p)
             for a in range(3):
-                out[f"angular_momentum_{'xyz'[a]}"] = float(ell[a])
-        return out
+                out[f"angular_momentum_{'xyz'[a]}"] = ell[:, a]
+        return _integral_values(out, single)
 
 
 class RotatedChart:
@@ -465,9 +517,9 @@ class RotatedChart:
         return self.inner.min_separation(self.rot @ np.asarray(q, dtype=float))
 
     def integrals(self, q, p):
-        qa = self.rot @ np.asarray(q, dtype=float)
-        pa = self.rot @ np.asarray(p, dtype=float)
-        return self.inner.integrals(qa, pa)
+        q, p, single = _state_stack(q, p)
+        inner = self.inner.integrals(_stack_matvec(self.rot, q), _stack_matvec(self.rot, p))
+        return _integral_values(inner, single)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +570,11 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     stops for another reason (say, the step size underflows on the way into
     a collision), the StepFailureError names the time and the smallest
     separation of the last state the right-hand side saw.
+
+    The declared integrals of all samples come from one stacked
+    ``chart.integrals`` call after the integration, with the bits of a
+    sample-by-sample evaluation; a sample at the collision floor raises the
+    CollisionError that sample's own evaluation raises.
     """
     q0 = np.asarray(q0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
@@ -555,11 +612,10 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
             f"integrator stopped at t = {t_last:.6g}, smallest separation "
             f"{chart.min_separation(q_last):.3g}: {sol.message}")
     states = sol.y.T
-    names = list(chart.integrals(q0, p0).keys())
-    series = np.empty((states.shape[0], len(names)))
-    for i, row in enumerate(states):
-        vals = chart.integrals(row[: chart.dof], row[chart.dof:])
-        series[i] = [vals[name] for name in names]
+    # one pass over all samples; each row gets the bits of a one-state call
+    vals = chart.integrals(states[:, : chart.dof], states[:, chart.dof:])
+    names = list(vals)
+    series = np.column_stack([vals[name] for name in names])
     return TrajectoryRecord(chart.name, sol.t, states, names, series, nev[0])
 
 

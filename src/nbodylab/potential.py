@@ -17,7 +17,10 @@ and whose W comes from ``_w_batch``, the package's one 1-D W builder
 (W_ij = -2 m_j / |d_ij|^3, diagonal minus the row sum), which the 4-body
 mass-line code in ``fourbody`` batches over shapes.  The general kernels
 serve d >= 2; on the (x, 0) planar embedding they agree with the 1-D path
-to rounding.
+to rounding.  There ``gradient`` and ``acceleration`` share one n x n pass
+(``_pair_field``), and the field is summed directly, so a zero mass is fine.
+``eval_potential`` is ``_potential_batch`` of one configuration; the model
+charts take the potential of a whole trajectory's samples from it at once.
 """
 
 from __future__ import annotations
@@ -207,9 +210,48 @@ def eval_potential(masses, coords) -> float:
     """Sum of m_i m_j / r_ij over unordered pairs."""
     m = as_mass_array(masses)
     q = as_coord_array(coords)
-    _, dist = _pair_data(q)
-    iu, _ = _pair_index(q.shape[0])
-    return float(np.sum(m[iu[0]] * m[iu[1]] / dist[iu]))
+    return float(_potential_batch(m, q[None])[0])
+
+
+# pair-difference entries per block of a batched pair sum (8 MB of float64)
+_PAIR_BLOCK = 1 << 20
+
+
+def _potential_batch(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The potential of each configuration in q, an (S, n, d) stack.
+
+    Every pair array is C-contiguous before it is reduced, so numpy sums each
+    row in the order it sums a single configuration, and a row's value does
+    not depend on the stack around it.  The first row with a pair at or below
+    the collision floor raises, naming that row's closest pair.  Stacks are
+    taken in blocks, so the temporaries stay near 8 MB at any S.
+    """
+    iu, _ = _pair_index(q.shape[1])
+    mm = m[iu[0]] * m[iu[1]]
+    out = np.empty(q.shape[0])
+    step = max(1, _PAIR_BLOCK // (mm.size * q.shape[2]))
+    for s in range(0, q.shape[0], step):
+        u = np.ascontiguousarray(q[s:s + step, iu[0]] - q[s:s + step, iu[1]])
+        r = np.sqrt(np.einsum("spk,spk->sp", u, u))
+        hit = np.flatnonzero(r.min(axis=1) <= COLLISION_FLOOR)
+        if hit.size:
+            _raise_collision(r[hit[0]], iu)
+        out[s:s + step] = (mm / r).sum(axis=1)
+    return out
+
+
+def _pair_field(q: np.ndarray):
+    """Separations q_i - q_j and 1 / r_ij^3 of d >= 2 positions, in one n x n pass.
+
+    The diagonal distance is set to inf, so its 1 / r^3 is +0 and one min
+    checks the floor; a pair at or below it raises through ``_pair_data``.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    if dist.min() <= COLLISION_FLOOR:
+        _pair_data(q)  # raises, naming the closest pair
+    return diff, dist ** -3
 
 
 def gradient(masses, coords) -> np.ndarray:
@@ -222,21 +264,23 @@ def gradient(masses, coords) -> np.ndarray:
     q = as_coord_array(coords)
     if q.shape[1] == 1:
         return (m * _line_field(m, q[:, 0]))[:, None]
-    diff, dist = _pair_data(q)
-    _, off = _pair_index(q.shape[0])
-    inv3 = np.zeros_like(dist)
-    inv3[off] = dist[off] ** -3
+    diff, inv3 = _pair_field(q)
     w = (m[:, None] * m[None, :]) * inv3
     return -np.einsum("ij,ijk->ik", w, diff)
 
 
 def acceleration(masses, coords) -> np.ndarray:
-    """Acceleration field (1/m_i) dV/dq_i as an (n, d) array."""
+    """Acceleration field sum_{j != i} m_j (q_j - q_i) / r_ij^3 as an (n, d) array.
+
+    It is (1/m_i) dV/dq_i, computed without the divide, so a body of zero
+    mass still gets the field the others make.
+    """
     m = as_mass_array(masses)
     q = as_coord_array(coords)
     if q.shape[1] == 1:
         return _line_field(m, q[:, 0])[:, None]
-    return gradient(m, q) / m[:, None]
+    diff, inv3 = _pair_field(q)
+    return -np.einsum("ij,ijk->ik", m[None, :] * inv3, diff)
 
 
 def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -260,6 +260,14 @@ def test_simulate_five_body_trajectory_columns(tmp_path, capsys):
 
 
 _FULL_STATE = ["--q0", "1,0,-0.5,0.8,-0.4,-0.9", "--p0", "0,0.5,-0.45,-0.2,0.4,-0.3"]
+# four bodies in space, and six on the plane: a 15-term pair sum, which numpy
+# adds in its unrolled order rather than one term after another
+_FULL_D3 = ["--d", "3", "--masses", "1,2,0.5,1.5",
+            "--q0", "1,0,0.2,-0.6,0.9,-0.1,-0.5,-0.8,0.3,0.2,0.1,-1.1",
+            "--p0", "0,0.4,0.1,-0.3,-0.1,0.05,0.5,-0.2,-0.1,-0.2,0.1,0.2"]
+_FULL_N6 = ["--masses", "1,2,0.5,1.5,1,0.8",
+            "--q0", "1.2,0,0.6,1.0,-0.6,1.1,-1.3,0.1,-0.5,-1.0,0.7,-0.9",
+            "--p0", "0,0.5,-0.4,0.2,-0.3,-0.3,0.1,-0.5,0.4,-0.2,0.3,0.4"]
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -271,6 +279,26 @@ _FULL_STATE = ["--q0", "1,0,-0.5,0.8,-0.4,-0.9", "--p0", "0,0.5,-0.45,-0.2,0.4,-
       "--t-end", "2", "--samples", "51"], {
         "trajectory.csv": "32b4bde437efd35e4ac7ccfb43cf11d8f3b577e3a18c3caa8e0b9f7f000bde41",
         "simulate.json": "c3b4c67e457fa985489affcd008ae8e1d492598297522606ffa7cd4146024bfd",
+    }),
+    (["simulate", "--model", "n3", "--samples", "51"], {
+        "trajectory.csv": "206e2374b0553c081e32320829243211cfb5d4a023c17ad5119b64e9de2ed2ee",
+        "simulate.json": "673cdc8a9b4f85480c2e0f50053edbfb0fe93423db3e2639f9b321409bfceec4",
+    }),
+    (["simulate", "--model", "kepler", "--dof", "2", "--kappa", "1.5", "--samples", "51"], {
+        "trajectory.csv": "7827dea9028f37a17677a84b17e21e38fc769c2ba8069cfab5cf46426aeae27d",
+        "simulate.json": "f34616f2f61b7c98bcf6e42afa0c5733cda125b7448375880d264f3258610298",
+    }),
+    (["simulate", "--model", "kepler", "--dof", "3", "--samples", "51"], {
+        "trajectory.csv": "5f5f90c6baf50ac60d432db046fa17ba4a3be3ed001e2fc1d84fc6a003bc74da",
+        "simulate.json": "272d0f86e5df14af6a56de2f8cf5f78fab6078f032a0d37afc94bd659926f419",
+    }),
+    (["simulate", "--model", "full", *_FULL_D3, "--t-end", "2", "--samples", "51"], {
+        "trajectory.csv": "ccb9fd4ee0e8be5985674b7fb5f72dd3c507eab587dca37b9d1a968392085b91",
+        "simulate.json": "b8a99940c615f74f38e3080c2d0775bd19a656c784e887fc045553edca37de02",
+    }),
+    (["simulate", "--model", "full", *_FULL_N6, "--t-end", "1", "--samples", "51"], {
+        "trajectory.csv": "2d1b628e39e8b7622ea0b37302e3d13fc7edef358ba2509954323d7c9d0cd88f",
+        "simulate.json": "1f43c153afcd6dffcde756882de6ee318e0dbcedc6162ec88a6dc5c7809b2f0f",
     }),
     (["pairs", "--cells", "40"], {
         "pairs.json": "2cb4eb36e6045c1b2b8f0f89016b93eebe9d9e24db341543bdae518bd447bbeb",
@@ -288,7 +316,9 @@ _FULL_STATE = ["--q0", "1,0,-0.5,0.8,-0.4,-0.9", "--p0", "0,0.5,-0.45,-0.2,0.4,-
         "pairs.json": "bbc2bf1c1c6e3dcb3bb666c6fcb47928dc145deffd214269f34225714cddfc2d",
         "pairs.csv": "ed4ac1dda6161440da2d95d95dcb93255a67229c157460fa1029f573d6a504ba",
     }),
-], ids=["simulate-five-body", "simulate-full", "pairs-40", "pairs-120",
+], ids=["simulate-five-body", "simulate-full", "simulate-n3", "simulate-kepler-dof2",
+        "simulate-kepler-dof3", "simulate-full-d3", "simulate-full-d2-n6",
+        "pairs-40", "pairs-120",
         "pairs-nonsymmetric-40", "pairs-symmetric"])
 def test_output_bytes_are_frozen(tmp_path, capsys, argv, expected):
     run_dir = run_ok([*argv, "--out", str(tmp_path)], capsys)

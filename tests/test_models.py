@@ -449,6 +449,148 @@ def test_full_chart_integrals_include_momenta_and_angular_momentum():
     npt.assert_allclose(vals["momentum_x"], p[0] + p[2] + p[4], rtol=1e-15)
 
 
+def one_state_integrals(chart, q, p):
+    """Reference: the integrals of one state in numpy-scalar arithmetic, term by term."""
+    if isinstance(chart, RotatedChart):
+        return one_state_integrals(chart.inner, chart.rot @ q, chart.rot @ p)
+    if isinstance(chart, PairedOrbitsChart):
+        y, w = decouple_matrix() @ q, decouple_matrix() @ p
+        e1 = 0.5 * (w[0] ** 2 + w[1] ** 2) - FIVE_BODY_KAPPA / np.linalg.norm(y[:2])
+        e2 = 0.5 * (w[2] ** 2 + w[3] ** 2) - FIVE_BODY_KAPPA / np.linalg.norm(y[2:])
+        return {"pair_energy_1": e1, "pair_energy_2": e2,
+                "pair_angular_momentum_1": y[0] * w[1] - y[1] * w[0],
+                "pair_angular_momentum_2": y[2] * w[3] - y[3] * w[2],
+                "energy": e1 + e2}
+    if isinstance(chart, CentralForceChart):
+        out = {"energy": 0.5 * (p**2).sum() - chart.kappa / np.linalg.norm(q)}
+        if chart.dof == 2:
+            out["angular_momentum"] = q[0] * p[1] - q[1] * p[0]
+        else:
+            out.update(zip(("angular_momentum_x", "angular_momentum_y",
+                            "angular_momentum_z"), np.cross(q, p)))
+        return out
+    d, m = chart.d, chart.masses.values
+    c, mom = q.reshape(-1, d), p.reshape(-1, d)
+    diff = c[:, None, :] - c[None, :, :]
+    iu = np.triu_indices(len(m), k=1)
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[iu]
+    out = {"energy": (p**2 / (2.0 * chart.dof_masses)).sum()
+           - np.sum(m[iu[0]] * m[iu[1]] / dist)}
+    for a in range(d):
+        out[f"momentum_{'xyz'[a]}"] = mom[:, a].sum()
+    if d == 2:
+        out["angular_momentum"] = (c[:, 0] * mom[:, 1] - c[:, 1] * mom[:, 0]).sum()
+    elif d == 3:
+        out.update(zip(("angular_momentum_x", "angular_momentum_y",
+                        "angular_momentum_z"), np.cross(c, mom).sum(axis=0)))
+    return out
+
+
+def _plane_rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+_STACK_CHARTS = {
+    **{f"nbody-d{d}-n{n}": (lambda d=d, n=n: NBodyChart(
+        np.random.default_rng(10 * n + d).uniform(0.2, 3.0, n), d))
+       for d in (1, 2, 3) for n in (2, 3, 5, 8, 9)},
+    "nbody-d2-n9-signed": lambda: NBodyChart(
+        np.linspace(-2.0, 2.0, 9) + 0.1, 2),
+    "five-body": PairedOrbitsChart,
+    "central-dof2": lambda: CentralForceChart(2.5, dof=2),
+    "central-dof3": lambda: CentralForceChart(2.5, dof=3),
+    "rotated-five-body": lambda: RotatedChart(PairedOrbitsChart(), np.kron(
+        _plane_rotation(0.4), _plane_rotation(-1.1))),
+    "rotated-central": lambda: RotatedChart(CentralForceChart(1.5, dof=2),
+                                            _plane_rotation(0.9)),
+}
+
+
+@pytest.mark.parametrize("make_chart", _STACK_CHARTS.values(), ids=_STACK_CHARTS.keys())
+def test_integrals_of_a_stack_equal_one_state_calls(make_chart):
+    chart = make_chart()
+    rng = np.random.default_rng(chart.dof)
+    count = 200
+    # one sample per column, as solve_ivp returns them: the rows are strided
+    states = rng.normal(size=(2 * chart.dof, count)).T * rng.uniform(0.5, 3.0, (count, 1))
+    q, p = states[:, :chart.dof], states[:, chart.dof:]
+    stack = chart.integrals(q, p)
+    singles = [chart.integrals(q[s], p[s]) for s in range(count)]
+    for name, column in stack.items():
+        assert column.shape == (count,)
+        assert all(type(one[name]) is float for one in singles)
+        assert np.array_equal(column, [one[name] for one in singles]), name
+        reference = [one_state_integrals(chart, q[s], p[s])[name] for s in range(count)]
+        assert np.array_equal(column, reference), name
+    assert list(stack) == list(singles[0])
+
+
+def test_five_body_energies_square_momenta_as_one_state_does():
+    # one state squares with libm pow; w * w rounds differently in about one
+    # momentum row in 2,000, so pick such rows for the stack
+    chart, mix = PairedOrbitsChart(), decouple_matrix()
+    rng = np.random.default_rng(4)
+    p = rng.normal(size=(20000, 4))
+    w = np.matmul(mix, p[:, :, None])[:, :, 0]
+    pow_kin = np.array([(a**2 + b**2, c**2 + d**2) for a, b, c, d in w.tolist()])
+    mul_kin = np.column_stack([w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1],
+                               w[:, 2] * w[:, 2] + w[:, 3] * w[:, 3]])
+    rows = np.flatnonzero((pow_kin != mul_kin).any(axis=1))
+    assert rows.size >= 5
+    q = rng.normal(size=(rows.size, 4)) + 2.0
+    stack = chart.integrals(q, p[rows])
+    for name in ("pair_energy_1", "pair_energy_2"):
+        reference = [one_state_integrals(chart, q[s], p[r])[name] for s, r in enumerate(rows)]
+        assert np.array_equal(stack[name], reference)
+
+
+@pytest.mark.parametrize("chart,message", [
+    (NBodyChart([1.0, 2.0, 0.5, 1.5], 2), "bodies 1 and 3 are separated by"),
+    (CentralForceChart(1.0, dof=3), "central-force chart at the origin"),
+], ids=["nbody", "central"])
+def test_integrals_of_a_stack_raise_for_the_first_collided_sample(chart, message):
+    rng = np.random.default_rng(3)
+    q = rng.normal(size=(12, chart.dof)) + 3.0 * np.arange(chart.dof)
+    p = rng.normal(size=(12, chart.dof))
+    if isinstance(chart, NBodyChart):
+        q[5, 6:8] = q[5, 2:4] + 0.5 * COLLISION_FLOOR  # bodies 1 and 3
+        q[8, 2:4] = q[8, 0:2]                          # bodies 0 and 1, later
+    else:
+        q[5] = 0.25 * COLLISION_FLOOR
+        q[8] = 0.0
+    with pytest.raises(CollisionError) as single:
+        chart.integrals(q[5], p[5])
+    with pytest.raises(CollisionError) as stack:
+        chart.integrals(q, p)
+    assert str(stack.value) == str(single.value)
+    assert message in str(stack.value)
+
+
+def test_chart_gradients_keep_the_numpy_arithmetic_bits():
+    rng = np.random.default_rng(11)
+    five, central = PairedOrbitsChart(), CentralForceChart(2.5, dof=3)
+    for z in random_chart_points(200, 12):
+        q21, q22, q31, q32 = z
+        f1 = -(((q21 - q31) ** 2 + (q22 - q32) ** 2) ** -1.5)
+        f2 = -(((q21 + q31) ** 2 + (q22 + q32) ** 2) ** -1.5)
+        expect = [f1 * (q21 - q31) + f2 * (q21 + q31), f1 * (q22 - q32) + f2 * (q22 + q32),
+                  -f1 * (q21 - q31) + f2 * (q21 + q31), -f1 * (q22 - q32) + f2 * (q22 + q32)]
+        assert np.array_equal(five.gradient(z), expect)
+        x = rng.normal(size=3) * rng.uniform(0.1, 10.0)
+        r = float(np.linalg.norm(x))
+        assert np.array_equal(central.gradient(x), -2.5 * x / r**3)
+        assert central.min_separation(x) == r
+        assert central.potential(x) == 2.5 / r
+
+
+@pytest.mark.parametrize("cls", [NBodyChart, PairedOrbitsChart, CentralForceChart])
+def test_traced_chart_methods_live_in_the_class_body(cls):
+    # the benchmark's tracer wraps vars(cls)[name]; an inherited method is not there
+    for name in ("gradient", "min_separation", "integrals"):
+        assert name in vars(cls)
+
+
 def test_kepler_period_closed_form():
     npt.assert_allclose(kepler_period(1.0, 1.0), 2.0 * math.pi, rtol=1e-15)
     q, p, period = circular_orbit_state(2.0, 3.0)

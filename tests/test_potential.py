@@ -1,17 +1,21 @@
 """Derivative stack: potential, gradient, mass-scaled Hessian, third tensor."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbodylab import potential as potential_module
 from nbodylab.errors import CollisionError
 from nbodylab.potential import (
     COLLISION_FLOOR,
     Configuration,
     MassVector,
     _pair_index,
+    _potential_batch,
     _third_contract_batch,
     acceleration,
     eval_potential,
@@ -326,3 +330,57 @@ def test_line_kernels_name_the_colliding_pair_as_the_general_path(n, seed, frac)
         with pytest.raises(CollisionError) as line:
             kernel(m, x[:, None])
         assert str(line.value) == str(general.value)
+
+
+def masked_pair_sums(m, q):
+    """Potential and gradient through the full distance matrix: the reference bits."""
+    diff = q[:, None, :] - q[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n = len(m)
+    iu = np.triu_indices(n, k=1)
+    off = ~np.eye(n, dtype=bool)
+    inv3 = np.zeros_like(dist)
+    inv3[off] = dist[off] ** -3
+    grad = -np.einsum("ij,ijk->ik", (m[:, None] * m[None, :]) * inv3, diff)
+    return float(np.sum(m[iu[0]] * m[iu[1]] / dist[iu])), grad
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_potential_and_general_gradient_keep_the_masked_form_bits(d):
+    rng = np.random.default_rng(70 + d)
+    for n in (2, 3, 5, 9, 17, 40):
+        m = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        q = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        potential, grad = masked_pair_sums(m, q)
+        assert eval_potential(m, q) == potential
+        if d > 1:
+            assert np.array_equal(gradient(m, q), grad)
+
+
+def test_batched_potential_rows_do_not_depend_on_the_stack(monkeypatch):
+    rng = np.random.default_rng(8)
+    m = rng.uniform(0.2, 3.0, 11)
+    q = rng.normal(size=(40, 11, 2))
+    expect = [eval_potential(m, row) for row in q]
+    assert np.array_equal(_potential_batch(m, q), expect)
+    # a block of a few rows at a time: the same values
+    monkeypatch.setattr(potential_module, "_PAIR_BLOCK", 3 * 55 * 2)
+    assert np.array_equal(_potential_batch(m, q), expect)
+    q[17, 4] = q[17, 9] + 0.5 * COLLISION_FLOOR
+    q[30, 0] = q[30, 1]
+    with pytest.raises(CollisionError, match="bodies 4 and 9 "):
+        _potential_batch(m, q)
+
+
+def test_acceleration_of_a_zero_mass_body_is_the_field_of_the_others():
+    m = np.array([1.0, 0.0, 2.0])
+    x = np.array([-1.0, 0.0, 1.5])
+    line = acceleration(m, x[:, None])[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plane = acceleration(m, np.column_stack([x, np.zeros(3)]))
+        space = acceleration(m, np.column_stack([np.zeros(3), x, np.zeros(3)]))
+    npt.assert_allclose(plane[:, 0], line, rtol=1e-15)
+    npt.assert_allclose(space[:, 1], line, rtol=1e-15)
+    assert not plane[:, 1].any() and not space[:, [0, 2]].any()
+    npt.assert_allclose(line, [0.32, 2.0 / 1.5**2 - 1.0, -0.16], rtol=1e-15)
