@@ -40,13 +40,11 @@ from .potential import (
 
 __all__ = [
     "CentralConfiguration",
-    "MassLine3",
     "MassLine4",
     "euler_quintic_coefficients",
     "euler_quintic",
     "masses_from_rho",
     "positivity_interval",
-    "mass_line_3body",
     "cc_residual",
     "fit_multiplier_center",
     "normalize_cc",
@@ -56,6 +54,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TARGET = 1e-10
+# Moulton Newton solve: absolute residual target of the raw-scale system, step cap
+_NEWTON_TOL = 1e-13
+_NEWTON_STEPS = 200
 _MULTIPLIER_FLOOR = 1e-12
 
 
@@ -230,26 +231,11 @@ def positivity_interval(rho: float) -> tuple[float, float]:
     return 0.0, hi
 
 
-@dataclass
-class MassLine3:
-    """The s-parametrized 3-body mass family at shape (-1, 0, rho)."""
-
-    rho: float
-    s_interval: tuple[float, float]
-
-    def masses(self, s: float) -> MassVector:
-        return masses_from_rho(self.rho, s)
-
-
-def mass_line_3body(rho: float) -> MassLine3:
-    return MassLine3(rho, positivity_interval(rho))
-
-
 # ---------------------------------------------------------------------------
 # Moulton solve for arbitrary n (one cc per ordering)
 
 
-def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConfiguration:
+def moulton_solve(masses, order=None) -> CentralConfiguration:
     """Colinear central configuration for positive masses in a given order.
 
     Parameters
@@ -291,10 +277,10 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
     free = np.arange(2, n)  # the slots Newton moves
     best = np.inf
     fval = system(x)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         r = float(np.max(np.abs(fval)))
         best = min(best, r)
-        if r <= tol:
+        if r <= _NEWTON_TOL:
             break
         pos = x[:n]
         alpha = x[n]
@@ -323,7 +309,7 @@ def moulton_solve(masses, order=None, *, tol=1e-13, max_iter=200) -> CentralConf
         else:
             raise NoConvergenceError("Newton backtracking stalled", best)
     else:
-        raise NoConvergenceError(f"no convergence after {max_iter} iterations", best)
+        raise NoConvergenceError(f"no convergence after {_NEWTON_STEPS} iterations", best)
 
     coords = np.empty(n)
     coords[order] = x[:n]
@@ -363,9 +349,8 @@ def _line_batch(rho1, rho2, max_cond=None):
     n = pos.shape[0]
     diff = pos[:, None, :] - pos[:, :, None]        # [cell, i, j] = c_j - c_i
     dist = np.abs(diff)
-    off = ~np.eye(4, dtype=bool)
-    inv3 = np.zeros_like(dist)
-    inv3[:, off] = dist[:, off] ** -3
+    dist[:, range(4), range(4)] = np.inf
+    inv3 = dist ** -3
 
     a = np.zeros((n, 5, 5))
     a[:, :4, :4] = diff * inv3

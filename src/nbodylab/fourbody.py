@@ -385,14 +385,14 @@ def _z0_points(lam, r1, r2):
     return _z0_from_line(np.asarray(lam), _line_batch(r1, r2))
 
 
-def _bisect_zeros(lam, p, q, fp, fq, iters=60):
+def _bisect_zeros(lam, p, q, fp, fq):
     """Refine the Z0 sign changes along the segments p[i] -> q[i], all at once.
 
     p and q are (k, 2) arrays of bracket ends and fp, fq their Z0 values, as
     _z0_points gives them; ``lam`` holds the eigenvalue pair of every row,
     shape (k, 2), or one pair for all, so the flips of several pairs share
     each step's line solve.  Each row runs the scalar bisection: midpoint
-    0.5 * (p + q), keep the half where fp * fm <= 0, and after ``iters`` steps
+    0.5 * (p + q), keep the half where fp * fm <= 0, and after 60 steps
     accept the midpoint when |Z0| there is below max(1e-6, 1e-3 * min(|fp|,
     |fq|)) of the original ends (a genuine zero shrinks |Z0| below the bracket
     scale; a pole grows it).  A row is dropped when its ends do not change
@@ -412,7 +412,7 @@ def _bisect_zeros(lam, p, q, fp, fq, iters=60):
         live &= ~(fp * fq > 0)
     scale = np.minimum(np.abs(fp), np.abs(fq))
     active = live.copy()
-    for _ in range(iters):
+    for _ in range(60):
         rows = np.flatnonzero(active)
         mid = 0.5 * (p[rows] + q[rows])
         done = (mid == p[rows]).all(axis=1) | (mid == q[rows]).all(axis=1)
@@ -597,15 +597,24 @@ def _z0_cubic_roots(inv3, m0, dm, prod):
     return np.sort(real)
 
 
-def _symmetric_feasibility(cand, rho_max):
-    lam1, lam2 = cand.pair
+def _symmetric_roots(key, rho_max):
+    """Symmetric branch: trace root rho (or None), each Z0 root t = m3 and its masses.
+
+    Callers filter the roots: Z0 feasibility needs all four masses positive,
+    the order-2 stage only t = m3 > 0.
+    """
+    lam1, lam2 = key
     rho = _symmetric_trace_roots(rho_max)[2.0 + lam1 + lam2]
-    solutions = []
-    if rho is not None:
-        _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
-        for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
-            if np.all(m0[0] + t_root * dm[0] > 0):
-                solutions.append((float(rho), float(t_root)))
+    if rho is None:
+        return None, []
+    _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
+    return rho, [(t, m0[0] + t * dm[0])
+                 for t in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2)]
+
+
+def _symmetric_feasibility(cand, rho_max):
+    rho, roots = _symmetric_roots(cand.pair, rho_max)
+    solutions = [(float(rho), float(t)) for t, masses in roots if np.all(masses > 0)]
     cand.evidence = {
         "mode": "symmetric",
         "trace_root_rho": None if rho is None else float(rho),
@@ -651,25 +660,18 @@ def _plane_contractions(rho1, rho2, masses):
 _ORDER2_THRESHOLD = 1e-3
 
 
-def _order2_candidates(keys, loci, rho_max, threshold):
+def _order2_candidates(keys, loci, rho_max):
     """Order-2 exclusion of several pairs on their full Z0 loci.
 
     The plane contractions at every locus point and symmetric solution of
     all pairs are evaluated as one batch.
     """
     sym_points, sym_masses = [], []
-    for lam1, lam2 in keys:
-        # symmetric branch: trace pins rho, Z0 pins m3, m3 > 0 required
-        points, masses = [], []
-        rho = _symmetric_trace_roots(rho_max)[2.0 + lam1 + lam2]
-        if rho is not None:
-            _, inv3, m0, dm, _, _ = _line_batch(rho, rho)
-            for t_root in _z0_cubic_roots(inv3[0], m0[0], dm[0], lam1 * lam2):
-                if t_root > 0:
-                    points.append((float(rho), float(t_root)))
-                    masses.append(m0[0] + t_root * dm[0])
-        sym_points.append(points)
-        sym_masses.append(masses)
+    for key in keys:
+        rho, roots = _symmetric_roots(key, rho_max)
+        kept = [(t, masses) for t, masses in roots if t > 0]
+        sym_points.append([(float(rho), float(t)) for t, _ in kept])
+        sym_masses.append([masses for _, masses in kept])
 
     # non-symmetric branch: the bisected Z0 = 0 locus, trace matched in m3
     locus = np.concatenate([np.empty((0, 2)), *loci])
@@ -694,25 +696,24 @@ def _order2_candidates(keys, loci, rho_max, threshold):
             "nonsym_min_max_contraction": None if math.isinf(nonsym_min) else nonsym_min,
             "sym_solutions": sym_points[i],
             "sym_min_max_contraction": None if math.isinf(sym_min) else sym_min,
-            "threshold": threshold,
+            "threshold": _ORDER2_THRESHOLD,
             "caveat": SWEEP_CAVEAT,
         }
         worst_min = min(nonsym_min, sym_min)
-        cand.status = "order2-excluded" if worst_min > threshold else "feasible"
+        cand.status = "order2-excluded" if worst_min > _ORDER2_THRESHOLD else "feasible"
         out.append(cand)
     return out
 
 
-def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
-                           threshold: float = _ORDER2_THRESHOLD) -> PairCandidate:
+def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240) -> PairCandidate:
     """Evaluate the four plane contractions along the determinant locus.
 
     Requires the pair to sit in the eigenvalue family b(2b+3) with the span
     condition, so that vanishing of all contractions on the invariant plane
     is necessary for integrability.  Reports "order2-excluded" when the
-    contraction system stays bounded away from zero on the entire sampled
-    locus: every confirmed Z0 zero of the strict rho1 > rho2 branch, and the
-    symmetric branch.
+    contraction system stays above 1e-3 (the evidence's ``threshold``) on the
+    entire sampled locus: every confirmed Z0 zero of the strict rho1 > rho2
+    branch, and the symmetric branch.
     """
     key = _pair_key(pair)
     if not odd_family_predicate(key):
@@ -720,7 +721,7 @@ def order2_exclusion_4body(pair, rho_max: float = 20.0, cells: int = 240,
             f"{{{key[0]},{key[1]}}} is outside the eigenvalue family handled here"
         )
     (*_, locus), = _z0_loci([key], rho_max, cells)
-    return _order2_candidates([key], [locus], rho_max, threshold)[0]
+    return _order2_candidates([key], [locus], rho_max)[0]
 
 
 def condition_count(pair) -> int:
@@ -745,8 +746,7 @@ def classify_pairs(rho_max: float = 20.0, cells: int = 240) -> list[PairCandidat
     out = [_nonsym_candidate(key, *locus) for key, locus in zip(keys, loci)]
     odd = [i for i, c in enumerate(out)
            if c.status == "feasible" and odd_family_predicate(c.pair)]
-    excluded = _order2_candidates([keys[i] for i in odd], [loci[i][3] for i in odd],
-                                  rho_max, _ORDER2_THRESHOLD)
+    excluded = _order2_candidates([keys[i] for i in odd], [loci[i][3] for i in odd], rho_max)
     for i, excl in zip(odd, excluded):
         if excl.status == "order2-excluded":
             excl.evidence = {**out[i].evidence, **excl.evidence}

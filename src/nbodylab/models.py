@@ -10,9 +10,13 @@ survives and the flow is a central-force problem.
 
 The simulator integrates Hamilton's equations for small chart Hamiltonians
 (and for full n-body systems) with conservation diagnostics attached.  Every
-chart's gradient raises ``CollisionError`` when a surviving separation is
+chart raises ``CollisionError`` when a surviving separation is
 ``COLLISION_FLOOR`` (1e-8, from ``potential``) or smaller; ``simulate`` turns
-such a collision in the middle of a run into ``StepFailureError``.
+such a collision in the middle of a run into ``StepFailureError``.  Each
+chart's floor test and message lives in one place: ``potential`` for
+``NBodyChart``, ``_five_body_squares`` for the 5-body chart, ``_radius`` for
+the central-force charts and the n+3 model.  The 5-body and central-force
+``integrals`` put the closest state of a stack to that one test.
 
 A chart's ``integrals`` takes one state, q and p of shape (dof,), and returns
 Python floats, or a stack of S states, (S, dof) each, and returns (S,) arrays
@@ -37,6 +41,7 @@ from .potential import (
     COLLISION_FLOOR,
     Configuration,
     MassVector,
+    _pair_distances,
     _potential_batch,
     acceleration,
     eval_potential,
@@ -78,6 +83,15 @@ FIVE_BODY_MASSES = MassVector(np.array([-0.25, 1.0, 1.0, 1.0, 1.0]))
 FIVE_BODY_KAPPA = 2.0 ** -0.5
 
 
+def _five_body_squares(q21, q22, q31, q32):
+    """Squares of the two distances surviving on the 5-body chart; raises at the floor."""
+    s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
+    s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
+    if min(s1, s2) <= COLLISION_FLOOR**2:
+        raise CollisionError("chart point collapses a surviving distance")
+    return s1, s2
+
+
 def restricted_potential_5body(q4) -> float:
     """Potential of the 5-body model on its parallelogram chart.
 
@@ -87,11 +101,7 @@ def restricted_potential_5body(q4) -> float:
     restricted to the subspace is exactly twice this chart value, and the
     unit-mass chart flow reproduces the restricted dynamics.
     """
-    q21, q22, q31, q32 = np.asarray(q4, dtype=float)
-    s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
-    s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
-    if min(s1, s2) <= COLLISION_FLOOR**2:
-        raise CollisionError("chart point collapses a surviving distance")
+    s1, s2 = _five_body_squares(*np.asarray(q4, dtype=float))
     return s1**-0.5 + s2**-0.5
 
 
@@ -99,10 +109,7 @@ def _restricted_gradient_5body(q4):
     # Python floats: the numpy-scalar arithmetic of the same formula, bit for
     # bit (both square with libm pow), without numpy's per-operation overhead
     q21, q22, q31, q32 = q4.tolist()
-    s1 = (q21 - q31) ** 2 + (q22 - q32) ** 2
-    s2 = (q21 + q31) ** 2 + (q22 + q32) ** 2
-    if min(s1, s2) <= COLLISION_FLOOR**2:
-        raise CollisionError("chart point collapses a surviving distance")
+    s1, s2 = _five_body_squares(q21, q22, q31, q32)
     f1 = -(s1 ** -1.5)
     f2 = -(s2 ** -1.5)
     return np.array([
@@ -209,10 +216,7 @@ def n3_effective_potential(n: int, state3) -> float:
     remaining 2n cross terms share the single distance |state3|.  Equals the
     full potential restricted to the subspace exactly (no additive constant).
     """
-    s = np.asarray(state3, dtype=float)
-    d = float(np.linalg.norm(s))
-    if d <= COLLISION_FLOOR:
-        raise CollisionError("chart point collapses the cluster distance")
+    d = _radius(np.asarray(state3, dtype=float), "chart point collapses the cluster distance")
     return 8.0 * n * polygon_alpha(n) / d
 
 
@@ -241,10 +245,6 @@ class InvariantSubspace:
         gram = self.basis.T @ self.basis
         if np.max(np.abs(gram - np.eye(self.basis.shape[1]))) > 1e-12:
             raise ValueError("subspace basis is not orthonormal")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
 
     def point(self, coeffs) -> Configuration:
         flat = self.basis @ np.asarray(coeffs, dtype=float)
@@ -303,10 +303,7 @@ def check_invariant_subspace(sub: InvariantSubspace, samples: int = 50,
     while len(leakages) < samples:
         coeffs = rng.normal(size=k) * rng.uniform(0.5, 2.0)
         cfg = sub.point(coeffs)
-        diff = cfg.coords[:, None, :] - cfg.coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < min_separation:
+        if _pair_distances(cfg.coords)[1].min() < min_separation:
             rejected += 1
             if rejected > 100 * samples:
                 raise RuntimeError("rejection sampling stalled")
@@ -375,11 +372,7 @@ class NBodyChart:
         return gradient(self.masses, self._config(q)).reshape(-1)
 
     def min_separation(self, q) -> float:
-        c = self._config(q).coords
-        diff = c[:, None, :] - c[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
+        return float(_pair_distances(self._config(q).coords)[1].min())
 
     def integrals(self, q, p) -> dict:
         q, p, single = _state_stack(q, p)
@@ -431,6 +424,8 @@ class PairedOrbitsChart:
         w = _stack_matvec(self._mix, p)
         r1 = _row_norms(np.ascontiguousarray(y[:, :2]))
         r2 = _row_norms(np.ascontiguousarray(y[:, 2:]))
+        # the sample closest to a collision takes the gradient's floor test
+        _five_body_squares(*q[np.argmin(np.minimum(r1, r2))].tolist())
         # squares in Python floats: libm pow, as the energy of one state was
         # always squared; w * w and array powers differ in the last bit
         kin = np.array([(0.5 * (a**2 + b**2), 0.5 * (c**2 + d**2))
@@ -446,12 +441,19 @@ class PairedOrbitsChart:
         }, single)
 
 
-class CentralForceChart:
-    """Single particle, unit mass, potential kappa/|q|.
+def _radius(q: np.ndarray, message: str = "central-force chart at the origin") -> float:
+    """|q| of one state, raising CollisionError(message) at or below the floor.
 
-    |q| is math.sqrt(q @ q): the BLAS dot product np.linalg.norm takes, without
-    its per-call overhead.
+    math.sqrt(q @ q) is the BLAS dot np.linalg.norm takes, without its overhead.
     """
+    r = math.sqrt(q @ q)
+    if r <= COLLISION_FLOOR:
+        raise CollisionError(message)
+    return r
+
+
+class CentralForceChart:
+    """Single particle, unit mass, potential kappa/|q|."""
 
     def __init__(self, kappa: float, dof: int = 3, name: str = "central force"):
         self.kappa = float(kappa)
@@ -460,18 +462,11 @@ class CentralForceChart:
         self.name = name
 
     def potential(self, q) -> float:
-        qa = np.asarray(q, dtype=float)
-        r = math.sqrt(qa @ qa)
-        if r <= COLLISION_FLOOR:
-            raise CollisionError("central-force chart at the origin")
-        return self.kappa / r
+        return self.kappa / _radius(np.asarray(q, dtype=float))
 
     def gradient(self, q) -> np.ndarray:
         qa = np.asarray(q, dtype=float)
-        r = math.sqrt(qa @ qa)
-        if r <= COLLISION_FLOOR:
-            raise CollisionError("central-force chart at the origin")
-        return -self.kappa * qa / r**3
+        return -self.kappa * qa / _radius(qa)**3
 
     def min_separation(self, q) -> float:
         qa = np.asarray(q, dtype=float)
@@ -479,9 +474,8 @@ class CentralForceChart:
 
     def integrals(self, q, p) -> dict:
         q, p, single = _state_stack(q, p)
-        r = _row_norms(q)
-        if r.min() <= COLLISION_FLOOR:
-            raise CollisionError("central-force chart at the origin")
+        r = _row_norms(q)  # each row bit for bit _radius's |q|
+        _radius(q[np.argmin(r)])  # raises if the closest sample does
         out = {"energy": 0.5 * (p**2).sum(axis=1) - self.kappa / r}
         if self.dof == 2:
             out["angular_momentum"] = q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]
@@ -559,17 +553,17 @@ class TrajectoryRecord:
 
 
 def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
-             atol: float = 1e-13, samples: int = 2001) -> TrajectoryRecord:
+             samples: int = 2001) -> TrajectoryRecord:
     """Integrate Hamilton's equations on a chart with an 8th-order scheme.
 
-    Adaptive embedded Runge-Kutta of order 8 with tight tolerances keeps the
-    declared first integrals near machine accuracy.  An initial state at or
-    below the collision floor raises CollisionError; the chart gradient is the
-    right-hand side's only collision guard, and a CollisionError from it in
-    the middle of the run becomes StepFailureError.  When the integrator
-    stops for another reason (say, the step size underflows on the way into
-    a collision), the StepFailureError names the time and the smallest
-    separation of the last state the right-hand side saw.
+    Adaptive embedded Runge-Kutta of order 8 with tight tolerances (``rtol``,
+    absolute 1e-13) keeps the declared first integrals near machine accuracy.
+    An initial state at or below the collision floor raises CollisionError;
+    the chart gradient is the right-hand side's only collision guard, and a
+    CollisionError from it in the middle of the run becomes StepFailureError.
+    When the integrator stops for another reason (say, the step size
+    underflows on the way into a collision), the StepFailureError names the
+    time and the smallest separation of the last state the right-hand side saw.
 
     The declared integrals of all samples come from one stacked
     ``chart.integrals`` call after the integration, with the bits of a
@@ -604,7 +598,7 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
         method="DOP853",
         t_eval=np.linspace(0.0, float(t_end), samples),
         rtol=rtol,
-        atol=atol,
+        atol=1e-13,
     )
     if not sol.success:
         t_last, q_last = last[0]

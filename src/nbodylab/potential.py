@@ -10,6 +10,10 @@ hard domain restriction is the pairwise collision floor: every kernel here
 raises ``CollisionError`` when two bodies are ``COLLISION_FLOOR`` (1e-8) or
 closer.  It is the package's one floor; the model charts use it too.
 
+Every pair distance comes from ``_pair_field`` (one configuration, n x n,
+inf on the diagonal) or ``_pair_rows`` (an (S, n, d) stack, upper-triangle
+pairs), and every collision error from ``_raise_collision``.
+
 Colinear configurations (d = 1) take their own path through ``gradient``,
 ``acceleration`` and ``hessian_w``: one n x n pass over the signed
 separations d_ij = x_j - x_i, whose field is sum_j m_j sign(d_ij) / d_ij^2
@@ -123,35 +127,58 @@ def as_coord_array(coords) -> np.ndarray:
     return Configuration(np.asarray(coords, dtype=float)).coords
 
 
-# bounded: one entry holds about 9 n^2 bytes
+# bounded: one entry holds about 8 n^2 bytes
 @functools.lru_cache(maxsize=32)
 def _pair_index(n: int):
-    """Upper-triangle pair indices and off-diagonal mask of n bodies, read-only."""
+    """Upper-triangle pair indices (i, j), i < j, of n bodies, read-only."""
     iu = np.triu_indices(n, k=1)
-    off = ~np.eye(n, dtype=bool)
-    for a in (*iu, off):
+    for a in iu:
         a.flags.writeable = False
-    return iu, off
-
-
-def _pair_data(q: np.ndarray):
-    """Pairwise separations; raises at or below the collision floor."""
-    diff = q[:, None, :] - q[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu, _ = _pair_index(q.shape[0])
-    dmin = dist[iu].min()
-    if dmin <= COLLISION_FLOOR:
-        _raise_collision(dist[iu], iu)
-    return diff, dist
+    return iu
 
 
 def _raise_collision(r: np.ndarray, iu) -> None:
-    """CollisionError naming the closest pair; r holds pair distances, last axis by pair."""
-    p = int(np.argmin(r)) % r.shape[-1]
+    """CollisionError naming the closest pair; r holds one configuration's pair distances."""
+    p = int(np.argmin(r))
     raise CollisionError(
         f"bodies {iu[0][p]} and {iu[1][p]} are separated by {r.min():.3e} "
         f"(floor {COLLISION_FLOOR:.1e})"
     )
+
+
+def _pair_distances(q: np.ndarray):
+    """n x n separations q_i - q_j and distances of one configuration, no floor check.
+
+    The diagonal distance is inf: 1 / r^k is +0 there and one min finds the closest pair.
+    """
+    diff = q[:, None, :] - q[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    return diff, dist
+
+
+def _pair_field(q: np.ndarray):
+    """``_pair_distances`` of q; a pair at or below the collision floor raises."""
+    diff, dist = _pair_distances(q)
+    if dist.min() <= COLLISION_FLOOR:
+        iu = _pair_index(q.shape[0])
+        _raise_collision(dist[iu], iu)
+    return diff, dist
+
+
+def _pair_rows(q: np.ndarray):
+    """Upper-triangle separations (S, P, d) and distances (S, P) of an (S, n, d) stack.
+
+    Both are C-contiguous, so each row reduces in the order of a stack of one.
+    The first row with a pair at or below the collision floor raises.
+    """
+    iu = _pair_index(q.shape[1])
+    u = np.ascontiguousarray(q[:, iu[0]] - q[:, iu[1]])
+    r = np.sqrt(np.einsum("spk,spk->sp", u, u))
+    hit = np.flatnonzero(r.min(axis=1) <= COLLISION_FLOOR)
+    if hit.size:
+        _raise_collision(r[hit[0]], iu)
+    return u, r
 
 
 def _line_separations(x: np.ndarray) -> np.ndarray:
@@ -163,7 +190,7 @@ def _line_separations(x: np.ndarray) -> np.ndarray:
     """
     s = np.sort(x)
     if (s[1:] - s[:-1]).min() <= COLLISION_FLOOR:
-        _pair_data(x[:, None])  # raises, naming the closest pair
+        _pair_field(x[:, None])  # raises, naming the closest pair
     d = x[None, :] - x[:, None]
     np.fill_diagonal(d, np.inf)
     return d
@@ -220,38 +247,19 @@ _PAIR_BLOCK = 1 << 20
 def _potential_batch(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The potential of each configuration in q, an (S, n, d) stack.
 
-    Every pair array is C-contiguous before it is reduced, so numpy sums each
-    row in the order it sums a single configuration, and a row's value does
-    not depend on the stack around it.  The first row with a pair at or below
-    the collision floor raises, naming that row's closest pair.  Stacks are
-    taken in blocks, so the temporaries stay near 8 MB at any S.
+    Each row is summed over ``_pair_rows``' contiguous pairs, so its value
+    does not depend on the stack around it, and the first row with a pair at
+    or below the collision floor raises.  Stacks are taken in blocks, so the
+    temporaries stay near 8 MB at any S.
     """
-    iu, _ = _pair_index(q.shape[1])
+    iu = _pair_index(q.shape[1])
     mm = m[iu[0]] * m[iu[1]]
     out = np.empty(q.shape[0])
     step = max(1, _PAIR_BLOCK // (mm.size * q.shape[2]))
     for s in range(0, q.shape[0], step):
-        u = np.ascontiguousarray(q[s:s + step, iu[0]] - q[s:s + step, iu[1]])
-        r = np.sqrt(np.einsum("spk,spk->sp", u, u))
-        hit = np.flatnonzero(r.min(axis=1) <= COLLISION_FLOOR)
-        if hit.size:
-            _raise_collision(r[hit[0]], iu)
+        _, r = _pair_rows(q[s:s + step])
         out[s:s + step] = (mm / r).sum(axis=1)
     return out
-
-
-def _pair_field(q: np.ndarray):
-    """Separations q_i - q_j and 1 / r_ij^3 of d >= 2 positions, in one n x n pass.
-
-    The diagonal distance is set to inf, so its 1 / r^3 is +0 and one min
-    checks the floor; a pair at or below it raises through ``_pair_data``.
-    """
-    diff = q[:, None, :] - q[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    if dist.min() <= COLLISION_FLOOR:
-        _pair_data(q)  # raises, naming the closest pair
-    return diff, dist ** -3
 
 
 def gradient(masses, coords) -> np.ndarray:
@@ -264,8 +272,8 @@ def gradient(masses, coords) -> np.ndarray:
     q = as_coord_array(coords)
     if q.shape[1] == 1:
         return (m * _line_field(m, q[:, 0]))[:, None]
-    diff, inv3 = _pair_field(q)
-    w = (m[:, None] * m[None, :]) * inv3
+    diff, dist = _pair_field(q)
+    w = (m[:, None] * m[None, :]) * dist ** -3
     return -np.einsum("ij,ijk->ik", w, diff)
 
 
@@ -279,8 +287,8 @@ def acceleration(masses, coords) -> np.ndarray:
     q = as_coord_array(coords)
     if q.shape[1] == 1:
         return _line_field(m, q[:, 0])[:, None]
-    diff, inv3 = _pair_field(q)
-    return -np.einsum("ij,ijk->ik", m[None, :] * inv3, diff)
+    diff, dist = _pair_field(q)
+    return -np.einsum("ij,ijk->ik", m[None, :] * dist ** -3, diff)
 
 
 def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -288,17 +296,13 @@ def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Serves d >= 2; colinear configurations go through ``_line_w``.
     """
-    diff, dist = _pair_data(q)
+    diff, dist = _pair_field(q)
     n, d = q.shape
-    _, off = _pair_index(n)
-    inv3 = np.zeros_like(dist)
-    inv5 = np.zeros_like(dist)
-    inv3[off] = dist[off] ** -3
-    inv5[off] = dist[off] ** -5
+    inv3 = dist ** -3
     # per-pair d x d kernel (3 u u^T - r^2 I) / r^5, built in place in one
     # (n, n, d, d) array, with the same roundings as the product form
     wij = np.einsum("ija,ijb->ijab", diff, diff)
-    wij *= 3.0 * inv5[:, :, None, None]
+    wij *= 3.0 * (dist ** -5)[:, :, None, None]
     for a in range(d):
         wij[:, :, a, a] -= inv3
     wij *= -m[None, :, None, None]
@@ -396,23 +400,14 @@ def third_contract(masses, coords, x, y, z) -> float:
 def _third_contract_batch(m, q, x, y, z) -> np.ndarray:
     """third_contract of each row: m is (b, n), q, x, y and z are (b, n, d).
 
-    A batch of one is third_contract's arithmetic.  For n <= 4 every row is
-    bit for bit the batch of one; for larger n the pair sum of a longer batch
-    may round differently, so callers needing third_contract's bits there use it.
+    A batch of one is third_contract's arithmetic, and every row of a longer
+    batch is bit for bit its batch of one: the pairs come contiguous from
+    ``_pair_rows``.
     """
-    iu, _ = _pair_index(q.shape[1])
-    u = q[:, iu[0]] - q[:, iu[1]]
-    r = np.sqrt(np.einsum("bpk,bpk->bp", u, u))
-    if np.any(r <= COLLISION_FLOOR):
-        _raise_collision(r, iu)
-    dx = x[:, iu[0]] - x[:, iu[1]]
-    dy = y[:, iu[0]] - y[:, iu[1]]
-    dz = z[:, iu[0]] - z[:, iu[1]]
-    ux = np.einsum("bpk,bpk->bp", u, dx)
-    uy = np.einsum("bpk,bpk->bp", u, dy)
-    uz = np.einsum("bpk,bpk->bp", u, dz)
-    xy = np.einsum("bpk,bpk->bp", dx, dy)
-    xz = np.einsum("bpk,bpk->bp", dx, dz)
-    yz = np.einsum("bpk,bpk->bp", dy, dz)
+    iu = _pair_index(q.shape[1])
+    u, r = _pair_rows(q)
+    dx, dy, dz = (v[:, iu[0]] - v[:, iu[1]] for v in (x, y, z))
+    ux, uy, uz, xy, xz, yz = (np.einsum("bpk,bpk->bp", a, b) for a, b in (
+        (u, dx), (u, dy), (u, dz), (dx, dy), (dx, dz), (dy, dz)))
     core = -15.0 * ux * uy * uz / r**7 + 3.0 * (ux * yz + uy * xz + uz * xy) / r**5
     return np.sum(m[:, iu[0]] * m[:, iu[1]] * core, axis=1)

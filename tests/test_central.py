@@ -14,7 +14,6 @@ from nbodylab.central import (
     euler_quintic,
     euler_quintic_coefficients,
     fit_multiplier_center,
-    mass_line_3body,
     mass_line_4body,
     masses_from_rho,
     moulton_solve,
@@ -81,11 +80,10 @@ def test_masses_from_rho_rejects_singular_rho():
         masses_from_rho(0.0, 0.3)
 
 
-def test_mass_line_3body_parametrizes_same_shape():
-    line = mass_line_3body(2.3)
+def test_masses_from_rho_parametrizes_same_shape():
     lo, hi = positivity_interval(2.3)
     for s in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
-        mv = line.masses(s)
+        mv = masses_from_rho(2.3, s)
         (rho,) = euler_quintic(mv)
         npt.assert_allclose(rho, 2.3, rtol=1e-10)
 

@@ -316,10 +316,33 @@ _FULL_N6 = ["--masses", "1,2,0.5,1.5,1,0.8",
         "pairs.json": "bbc2bf1c1c6e3dcb3bb666c6fcb47928dc145deffd214269f34225714cddfc2d",
         "pairs.csv": "ed4ac1dda6161440da2d95d95dcb93255a67229c157460fa1029f573d6a504ba",
     }),
+    (["solve-cc", "--masses", "1,2,0.5,1.5,1,0.8,1.2"], {
+        "solve_cc.json": "9ca15f47f52defbdc13995cdfba4bbfec4af8ed4ec0bfec2df2d67502a550d52",
+        "eigenvalues.csv": "65112a6fdc56b2328d68c9391754ad80051959306500adc8b6ebf8faaea437a7",
+    }),
+    # six bodies on the plane: the d = 2 W matrix of the planar spectrum
+    (["planar", "--masses", "1,2,0.5,1.5,1,0.8"], {
+        "planar.json": "305216107a4943e5fba13f7b9d2917dd7e006bf68f726a8d9e3c7468904aa5df",
+        "eigenvalues.csv": "e459bfdeaec2d3d7782129e2cfa42ba2de654164b5a6e368854c873fdca12575",
+    }),
+    (["ek", "--k", "9", "--rho", "3/2"], {
+        "ek.json": "2f54d00b4e8fdbec4741c82f550e24cde8a305321f370684c8926dcfd19c42aa",
+        "masses.csv": "f265756020bea1b930910961982e999080dd1eaac48302e7f84adda9e6198815",
+    }),
+    (["check-subspace", "--builtin", "five-body"], {
+        "check_subspace.json": "fa5f44e6454bada86204aa4a317e6e5f7eae8ef6248c5d689e6b95c90a1f074b",
+        "leakage.csv": "5d1e07394c160e15531b8f2e9cfc1a4f7c2927353132db9bbfb54ffa06fc7a45",
+    }),
+    (["check-subspace", "--builtin", "n3"], {
+        "check_subspace.json": "0bc425ded0e1f61f08632f09b0519c328e5692acf3c62224b8c70df4cd0388ae",
+        "leakage.csv": "d407d33d1fbd5cfd61b615fa65e29baa85433ba76bc6b9d63db024a1f9f94908",
+    }),
 ], ids=["simulate-five-body", "simulate-full", "simulate-n3", "simulate-kepler-dof2",
         "simulate-kepler-dof3", "simulate-full-d3", "simulate-full-d2-n6",
         "pairs-40", "pairs-120",
-        "pairs-nonsymmetric-40", "pairs-symmetric"])
+        "pairs-nonsymmetric-40", "pairs-symmetric",
+        "solve-cc-n7", "planar-n6", "ek-9-rho-3_2", "check-subspace-five-body",
+        "check-subspace-n3"])
 def test_output_bytes_are_frozen(tmp_path, capsys, argv, expected):
     run_dir = run_ok([*argv, "--out", str(tmp_path)], capsys)
     digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -565,6 +566,23 @@ def test_integrals_of_a_stack_raise_for_the_first_collided_sample(chart, message
         chart.integrals(q, p)
     assert str(stack.value) == str(single.value)
     assert message in str(stack.value)
+
+
+def test_five_body_integrals_raise_at_a_collision_as_the_gradient_does():
+    chart = PairedOrbitsChart()
+    q = np.array([1.0, 0.5, 1.0, 0.5])  # bodies 2 and 3 coincide
+    with pytest.raises(CollisionError) as grad:
+        chart.gradient(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CollisionError) as single:
+            chart.integrals(q, np.ones(4))
+        rng = np.random.default_rng(4)
+        qs = rng.normal(size=(9, 4)) + 2.0
+        qs[6] = q
+        with pytest.raises(CollisionError) as stack:
+            chart.integrals(qs, rng.normal(size=(9, 4)))
+    assert str(single.value) == str(stack.value) == str(grad.value)
 
 
 def test_chart_gradients_keep_the_numpy_arithmetic_bits():

@@ -153,6 +153,18 @@ def test_third_contract_batch_of_four_bodies_matches_each_row():
     assert batch.tolist() == [third_contract(*row) for row in zip(m, q, x, y, z)]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_third_contract_batch_rows_match_single_calls_at_any_n(d):
+    # the pairs come C-contiguous from _pair_rows, so a longer batch sums each
+    # row's 21 to 435 pairs in the order of a batch of one
+    rng = np.random.default_rng(20 + d)
+    for n in (7, 12, 30):
+        m = rng.uniform(-1.0, 3.0, (6, n))
+        q, x, y, z = (rng.normal(size=(6, n, d)) for _ in range(4))
+        batch = _third_contract_batch(m, q, x, y, z)
+        assert batch.tolist() == [third_contract(*row) for row in zip(m, q, x, y, z)]
+
+
 def test_third_contract_batch_names_the_colliding_pair():
     q = np.array([[[0.0], [1.0], [2.0]], [[0.0], [1.0], [1.0 + 5e-9]]])
     x = np.ones((2, 3, 1))
@@ -242,12 +254,11 @@ def test_collisions_raise():
 
 
 def test_pair_index_is_cached_and_read_only():
-    (i, j), off = _pair_index(4)
-    assert _pair_index(4)[1] is off
+    i, j = _pair_index(4)
+    assert _pair_index(4)[0] is i
     npt.assert_array_equal(i, np.triu_indices(4, k=1)[0])
     npt.assert_array_equal(j, np.triu_indices(4, k=1)[1])
-    npt.assert_array_equal(off, ~np.eye(4, dtype=bool))
-    for a in (i, j, off):
+    for a in (i, j):
         with pytest.raises(ValueError):
             a[0] = a[1]
 
