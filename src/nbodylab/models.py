@@ -24,9 +24,9 @@ whose rows carry the bits of the one-state call.  ``simulate`` evaluates the
 whole integral series in one such call after the integration, so a run's cost
 is almost all right-hand sides: one chart gradient each.
 
-``simulate`` is the package's only user of scipy: it imports
-``scipy.integrate.solve_ivp`` on its first call, so importing this module (or
-the package, or running any other CLI subcommand) never loads scipy.
+``simulate`` steps with ``_dop853``, the package's port of the DOP853 path of
+``scipy.integrate.solve_ivp`` with ``t_eval``: the same steps, samples and
+right-hand-side count, bit for bit, without loading scipy.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _dop853
 from .errors import CollisionError, StepFailureError
 from .potential import (
     COLLISION_FLOOR,
     Configuration,
     MassVector,
+    _gradient,
     _pair_distances,
     _potential_batch,
     acceleration,
@@ -369,7 +371,12 @@ class NBodyChart:
         return eval_potential(self.masses, self._config(q))
 
     def gradient(self, q) -> np.ndarray:
-        return gradient(self.masses, self._config(q)).reshape(-1)
+        # runs on every right-hand side, so it builds no Configuration:
+        # finiteness is the one check of its that the kernel would miss
+        q = np.asarray(q, dtype=float)
+        if not np.isfinite(q).all():
+            raise ValueError("coordinates must be finite")
+        return _gradient(self.masses.values, q.reshape(-1, self.d)).reshape(-1)
 
     def min_separation(self, q) -> float:
         return float(_pair_distances(self._config(q).coords)[1].min())
@@ -556,8 +563,11 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
              samples: int = 2001) -> TrajectoryRecord:
     """Integrate Hamilton's equations on a chart with an 8th-order scheme.
 
-    Adaptive embedded Runge-Kutta of order 8 with tight tolerances (``rtol``,
-    absolute 1e-13) keeps the declared first integrals near machine accuracy.
+    Adaptive embedded Runge-Kutta of order 8 (DOP853, ``_dop853``) with tight
+    tolerances (``rtol``, absolute 1e-13) keeps the declared first integrals
+    near machine accuracy; ``samples`` equally spaced times from 0 to ``t_end``
+    are output.  A ``t_end`` that is not finite and > 0, a non-finite initial
+    state or ``samples`` below 1 raise ValueError before any step is taken.
     An initial state at or below the collision floor raises CollisionError;
     the chart gradient is the right-hand side's only collision guard, and a
     CollisionError from it in the middle of the run becomes StepFailureError.
@@ -574,43 +584,44 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     p0 = np.asarray(p0, dtype=float)
     if q0.shape != (chart.dof,) or p0.shape != (chart.dof,):
         raise ValueError(f"state must have {chart.dof} positions and momenta")
+    if not (np.isfinite(q0).all() and np.isfinite(p0).all()):
+        raise ValueError("initial state must be finite")
+    t_end = float(t_end)
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be a finite number > 0, not {t_end}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     if chart.min_separation(q0) <= COLLISION_FLOOR:
         raise CollisionError("initial state at or below the collision floor")
-    nev = [0]
-    last = [(0.0, q0)]  # time and positions of the latest RHS evaluation
+    dof, dof_masses, chart_gradient = chart.dof, chart.dof_masses, chart.gradient
+    nev = 0
+    last = (0.0, q0)  # time and positions of the latest RHS evaluation
 
     def rhs(t, state):
-        nev[0] += 1
-        q, p = state[: chart.dof], state[chart.dof:]
-        last[0] = (t, q)
+        nonlocal nev, last
+        nev += 1
+        q = state[:dof]
+        last = (t, q)
         try:
-            grad = chart.gradient(q)
+            grad = chart_gradient(q)
         except CollisionError as exc:
             raise StepFailureError(f"collision floor reached during a step: {exc}") from exc
-        return np.concatenate([p / chart.dof_masses, grad])
+        return np.concatenate([state[dof:] / dof_masses, grad])
 
-    from scipy.integrate import solve_ivp  # not at import: no other path needs scipy
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        np.concatenate([q0, p0]),
-        method="DOP853",
-        t_eval=np.linspace(0.0, float(t_end), samples),
-        rtol=rtol,
-        atol=1e-13,
-    )
-    if not sol.success:
-        t_last, q_last = last[0]
+    times = np.linspace(0.0, t_end, samples)
+    try:
+        states = _dop853.integrate(rhs, np.concatenate([q0, p0]), t_end, times,
+                                   rtol, atol=1e-13)
+    except _dop853.StepUnderflow as exc:
+        t_last, q_last = last
         raise StepFailureError(
             f"integrator stopped at t = {t_last:.6g}, smallest separation "
-            f"{chart.min_separation(q_last):.3g}: {sol.message}")
-    states = sol.y.T
+            f"{chart.min_separation(q_last):.3g}: {exc}") from None
     # one pass over all samples; each row gets the bits of a one-state call
-    vals = chart.integrals(states[:, : chart.dof], states[:, chart.dof:])
+    vals = chart.integrals(states[:, :dof], states[:, dof:])
     names = list(vals)
     series = np.column_stack([vals[name] for name in names])
-    return TrajectoryRecord(chart.name, sol.t, states, names, series, nev[0])
+    return TrajectoryRecord(chart.name, times, states, names, series, nev)
 
 
 def circular_orbit_state(kappa: float, radius: float, mass: float = 1.0):

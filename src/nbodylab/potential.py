@@ -268,8 +268,11 @@ def gradient(masses, coords) -> np.ndarray:
     Row i is sum_{j != i} m_i m_j (q_j - q_i) / r_ij^3, so the acceleration
     field of the attractive dynamics is row i divided by m_i.
     """
-    m = as_mass_array(masses)
-    q = as_coord_array(coords)
+    return _gradient(as_mass_array(masses), as_coord_array(coords))
+
+
+def _gradient(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``gradient`` of a mass array and an (n, d) float array, both taken as checked."""
     if q.shape[1] == 1:
         return (m * _line_field(m, q[:, 0]))[:, None]
     diff, dist = _pair_field(q)

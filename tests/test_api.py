@@ -1,7 +1,8 @@
 """Public API: every exported name resolves and the package exports only those.
 
-Also checks that every function the benchmark's tracer wraps still exists, and
-that importing the package loads neither scipy nor a process pool.
+Also checks that every function the benchmark's tracer wraps still exists,
+that importing the package loads neither scipy nor a process pool, and that
+`simulate` loads no scipy.
 """
 
 import ast
@@ -63,12 +64,31 @@ def test_traced_functions_resolve():
             assert callable(getattr(mod, attr, None)), f"{owner}.{attr}"
 
 
-def test_import_loads_no_scipy_and_no_process_pool():
-    # scipy serves only models.simulate and the process pool only sweep --jobs
-    # above 1; both load on first use, so every other command starts without them
+def test_import_loads_no_scipy_and_no_process_pool(tmp_path):
+    # the process pool serves only sweep --jobs above 1 and loads on first use;
+    # scipy serves no path at all, simulate included (its DOP853 is the package's)
     src = Path(nbodylab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, nbodylab, nbodylab.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=True)
+                          env=env, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+    # a library simulate call
+    probe = ("import sys; from nbodylab import models; "
+             "q, p, period = models.circular_orbit_state(1.0, 1.0); "
+             "rec = models.simulate(models.CentralForceChart(1.0, dof=2), q, p, period, "
+             "samples=11); assert rec.rhs_evaluations > 0; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+    # `python -m nbodylab simulate`; -X importtime lists every module imported
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "nbodylab", "simulate",
+                           "--model", "kepler", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "nbodylab.models" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    assert list(tmp_path.glob("*/simulate.json"))

@@ -1,0 +1,165 @@
+"""The DOP853 stepper against scipy's, which serves here only as an oracle.
+
+``models.simulate`` integrates with ``nbodylab._dop853``, a port of the one
+path of ``solve_ivp(method="DOP853", t_eval=...)`` it needs.  The port must
+give scipy's bits: the same tables, and the same times, states, integrals and
+right-hand-side counts as ``solve_ivp`` with the same right-hand side.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nbodylab import _dop853
+from nbodylab.errors import StepFailureError
+from nbodylab.models import (
+    CentralForceChart,
+    NBodyChart,
+    PairedOrbitsChart,
+    RotatedChart,
+    circular_orbit_state,
+    decouple_matrix,
+    simulate,
+)
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+
+def test_tables_are_scipys_doubles():
+    assert np.array_equal(_dop853.A, coefficients.A)
+    assert np.array_equal(_dop853.B, coefficients.B)
+    assert np.array_equal(_dop853.C, coefficients.C)
+    assert np.array_equal(_dop853.E3, coefficients.E3)
+    assert np.array_equal(_dop853.E5, coefficients.E5)
+    assert np.array_equal(_dop853.D, coefficients.D)
+    assert _dop853.N_STAGES == coefficients.N_STAGES
+
+
+def _scipy_run(chart, q0, p0, t_end, rtol, samples):
+    """What simulate computed when it called solve_ivp, with its right-hand side."""
+    seen = [0.0]
+
+    def rhs(t, state):
+        seen[0] = t
+        q, p = state[:chart.dof], state[chart.dof:]
+        return np.concatenate([p / chart.dof_masses, chart.gradient(q)])
+
+    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([q0, p0]), method="DOP853",
+                    t_eval=np.linspace(0.0, t_end, samples), rtol=rtol, atol=1e-13)
+    return sol, seen[0]
+
+
+def _plane_rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+def _five_body():
+    y0 = np.array([1.0, 0.0, 0.0, 1.3])
+    w0 = np.array([0.0, 0.95, -0.7, 0.1])
+    mix = decouple_matrix()
+    return PairedOrbitsChart(), mix.T @ y0, mix.T @ w0, 9.0
+
+
+def _central(dof, periods=1.5):
+    def make():
+        q0, p0, period = circular_orbit_state(2.5, 1.2)
+        p0 = 1.1 * p0
+        if dof == 3:
+            q0, p0 = np.append(q0, 0.1), np.append(p0, 0.3)
+        return CentralForceChart(2.5, dof=dof), q0, p0, periods * period
+    return make
+
+
+def _rotated():
+    chart, q0, p0, t_end = _five_body()
+    rot = np.kron(_plane_rotation(0.4), _plane_rotation(-1.1))
+    return RotatedChart(chart, rot), rot.T @ q0, rot.T @ p0, t_end
+
+
+def _nbody(d):
+    def make():
+        n = 3
+        ang = 0.3 + 2.0 * math.pi * np.arange(n) / n
+        ring = np.column_stack([np.cos(ang), np.sin(ang), 0.2 * np.ones(n)])
+        if d == 1:
+            q0, p0 = np.array([-1.0, 0.1, 1.3]), np.array([-1.6, 0.1, 1.4])
+        else:
+            q0 = ring[:, :d].reshape(-1)
+            p0 = 0.6 * np.column_stack([-ring[:, 1], ring[:, 0], 0.1 * ring[:, 2]])[:, :d]
+            p0 = p0.reshape(-1)
+        return NBodyChart([1.0, 1.5, 0.8], d), q0, p0, 2.0
+    return make
+
+
+CASES = {
+    "paired-orbits": _five_body,
+    "central-dof2": _central(2),
+    "central-dof3": _central(3),
+    # shorter than the first step the start would choose, so t_end caps it
+    "central-dof2-short": _central(2, periods=1e-4),
+    "rotated-paired-orbits": _rotated,
+    "nbody-d1": _nbody(1),
+    "nbody-d2": _nbody(2),
+    "nbody-d3": _nbody(3),
+}
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-9])
+@pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+def test_simulate_carries_the_bits_of_solve_ivp(make, rtol):
+    chart, q0, p0, t_end = make()
+    for samples in (2, 201, 2001):
+        rec = simulate(chart, q0, p0, t_end, rtol=rtol, samples=samples)
+        sol, _ = _scipy_run(chart, q0, p0, t_end, rtol, samples)
+        assert sol.success
+        states = sol.y.T
+        vals = chart.integrals(states[:, :chart.dof], states[:, chart.dof:])
+        assert np.array_equal(rec.times, sol.t)
+        assert np.array_equal(rec.states, states)
+        assert rec.states.flags.f_contiguous == states.flags.f_contiguous
+        assert rec.integral_names == list(vals)
+        assert np.array_equal(rec.integral_series, np.column_stack(list(vals.values())))
+        assert rec.rhs_evaluations == sol.nfev
+
+
+def test_step_underflow_stops_where_solve_ivp_stops():
+    # plane 1 falls from rest into the centre
+    mix = decouple_matrix()
+    chart = PairedOrbitsChart()
+    q0 = mix.T @ np.array([1.0, 0.0, 0.0, 1.3])
+    p0 = mix.T @ np.array([0.0, 0.0, -math.sqrt(2.0 ** -0.5 / 1.3), 0.0])
+    with pytest.raises(StepFailureError) as info:
+        simulate(chart, q0, p0, 5.0)
+    sol, t_last = _scipy_run(chart, q0, p0, 5.0, 1e-12, 2001)
+    assert sol.status == -1
+    assert str(info.value).startswith(f"integrator stopped at t = {t_last:.6g}, ")
+    assert str(info.value).endswith(f": {sol.message}")
+
+
+def test_an_rtol_below_scipys_floor_is_raised_to_it_as_scipy_does():
+    chart, q0, p0, t_end = _central(2)()
+    with pytest.warns(UserWarning, match="rtol"):
+        rec = simulate(chart, q0, p0, t_end, rtol=1e-16, samples=11)
+    with pytest.warns(UserWarning):
+        sol, _ = _scipy_run(chart, q0, p0, t_end, 1e-16, 11)
+    assert np.array_equal(rec.states, sol.y.T)
+    assert rec.rhs_evaluations == sol.nfev
+
+
+def test_first_step_is_scipys():
+    # a slow, rapidly varying field: the first guess h0 is large, so t_end caps
+    # it (1.0) or does not (100.0), and the step that follows depends on which
+    from scipy.integrate._ivp.common import select_initial_step
+
+    def fun(t, y):
+        return 1e-3 * np.sin(1e5 * y)
+
+    y0 = np.array([3.0, -0.2, 1.7, 0.05])
+    f0 = fun(0.0, y0)
+    for t_end in (1e-6, 1.0, 100.0):
+        for rtol in (1e-12, 1e-6):
+            want = select_initial_step(fun, 0.0, y0, t_end, np.inf, f0, 1.0, 7, rtol, 1e-13)
+            assert _dop853._initial_step(fun, y0, t_end, f0, rtol, 1e-13) == want

@@ -437,6 +437,31 @@ def test_initial_collision_is_rejected():
 def test_simulate_rejects_malformed_states():
     with pytest.raises(ValueError):
         simulate(CentralForceChart(1.0, dof=2), [1.0, 0.0, 0.0], [0.0, 1.0], 1.0)
+    for q0, p0 in (([1.0, math.nan], [0.0, 1.0]), ([1.0, 0.0], [0.0, math.inf])):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            simulate(CentralForceChart(1.0, dof=2), q0, p0, 1.0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        simulate(CentralForceChart(1.0, dof=2), [1.0, 0.0], [0.0, 1.0], 1.0, samples=0)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
+def test_simulate_rejects_a_bad_t_end_before_integrating(monkeypatch, t_end):
+    chart = CentralForceChart(1.0, dof=2)
+    calls = []
+    monkeypatch.setattr(chart, "gradient", lambda q: calls.append(q))
+    with pytest.raises(ValueError, match="t_end must be a finite number > 0"):
+        simulate(chart, [1.0, 0.0], [0.0, 1.0], t_end)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nbody_chart_gradient_rejects_a_non_finite_state(d, bad):
+    chart = NBodyChart([1.0, 2.0, 0.5], d)
+    q = np.arange(3.0 * d)
+    q[d] = bad
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        chart.gradient(q)
 
 
 def test_full_chart_integrals_include_momenta_and_angular_momentum():
