@@ -5,8 +5,12 @@ method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)`` that
 ``models.simulate`` uses: real states, a scalar ``atol``, no events.  Method,
 tableau and dense output are those of the DOP853 code (Hairer, Norsett &
 Wanner, *Solving Ordinary Differential Equations I*, 2nd ed., Sec. II.10).
-Each operation repeats scipy 1.17's in the same numpy call on arrays of the
-same layout, so states and right-hand-side counts carry scipy's bits.
+Each floating-point operation is scipy 1.17's, on the same operands in the
+same order, so states and right-hand-side counts carry scipy's bits.  The
+numpy calls around them differ: the right-hand side writes each stage
+derivative into its row of the stage matrix K, the stage states are built in
+place (a product with the rows before, times h, plus y; the addition commutes
+exactly), and the step control runs on Python floats.
 
 Adapted from scipy/integrate/_ivp/rk.py, common.py and dop853_coefficients.py
 of SciPy 1.17, under this licence:
@@ -42,6 +46,8 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 
 import numpy as np
@@ -178,51 +184,73 @@ def _initial_step(fun, y0, t_end, f0, rtol, atol):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = fun(h0, y0 + h0 * f0)
+    f1 = np.empty_like(y0)
+    fun(h0, y0 + h0 * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, t_end)
+    return float(min(100 * h0, h1, t_end))
 
 
-def _stages(fun, K, t, y, h, stages):
-    """Fill the rows ``stages`` of K, each from the rows before it."""
-    for s in stages:
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t + C[s] * h, y + dy)
+def _stages(fun, stages, t, y, h):
+    """Fill the K rows of ``stages``, each from the rows before it.
+
+    Returns the state the last stage was evaluated at; for row 12, whose
+    weights are B, that is the step's 8th-order solution.
+    """
+    h_array = np.array(h)  # numpy multiplies by a 0-d array faster than by a float
+    for rows_before, weights, c, row in stages:
+        y_s = rows_before.dot(weights)
+        y_s *= h_array
+        y_s += y
+        fun(t + c * h, y_s, row)
+    return y_s
 
 
 def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+    KT = K.T[:, :N_STAGES + 1]
+    err5 = KT.dot(E5)
+    err5 /= scale
+    err3 = KT.dot(E3)
+    err3 /= scale
+    # np.linalg.norm(err) ** 2 in the norm's own numpy scalars, which turn an
+    # overflow or 0 / 0 into inf or nan (a rejected step), as scipy's do
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
 
 def integrate(fun, y0, t_end, t_eval, rtol, atol):
     """States at the increasing times ``t_eval`` in [0, t_end], one row each.
 
-    ``fun(t, y)`` returns dy/dt as a new float array shaped like y; the start
-    is y0 at t = 0.  The (len(t_eval), len(y0)) result is Fortran-ordered,
-    as scipy's ``sol.y.T`` is.  Raises StepUnderflow with scipy's message when
-    the step size underflows.
+    ``fun(t, y, out)`` writes dy/dt into ``out`` and returns nothing.  Each
+    ``out`` is a row of the stage matrix K, so the rows of K are the function's
+    outputs, written in place.  ``fun`` must not change ``y``, and may keep it:
+    the stepper never writes to an array once it has passed it as ``y``.  The
+    start is y0 at t = 0.  The (len(t_eval), len(y0)) result is
+    Fortran-ordered, as scipy's ``sol.y.T`` is.  Raises StepUnderflow with
+    scipy's message when the step size underflows.
     """
     if rtol < MIN_RTOL:
         warnings.warn(f"rtol {rtol} is below {MIN_RTOL}; using {MIN_RTOL}", stacklevel=3)
         rtol = MIN_RTOL
     t, y = 0.0, np.asarray(y0, dtype=float)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
     K = np.empty((16, y.size))
+    f = K[0]  # the derivative at (t, y); row 12 holds each attempt's end
+    fun(t, y, f)
+    h_abs = _initial_step(fun, y, t_end, f, rtol, atol)
+    # stage s: the rows before it (transposed), its weights, its node, its row
+    stages = [(K.T[:, :s], A[s, :s], float(C[s]), K[s]) for s in range(16)]
+    step_stages, dense_stages = stages[1:N_STAGES + 1], stages[N_STAGES + 1:]
+    times = t_eval.tolist()
     done, out = 0, []
     while t < t_end:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:  # until a step is accepted
@@ -230,13 +258,12 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol):
                 raise StepUnderflow(TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            _stages(fun, K, t, y, h, range(1, N_STAGES))
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
-            f_new = K[N_STAGES] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            h_abs = abs(h)
+            y_new = _stages(fun, step_stages, t, y, h)
+            scale = np.maximum(np.abs(y), np.abs(y_new))
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(K, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -247,29 +274,35 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        stop = np.searchsorted(t_eval, t, side="right")
+        t, y = t_new, y_new
+        stop = bisect.bisect_right(times, t)
         if stop > done:
-            out.append(_interpolate(fun, K, t_old, t, y_old, y, f, t_eval[done:stop]))
+            out.append(_interpolate(fun, K, dense_stages, t_old, t, y_old, y, t_eval[done:stop]))
             done = stop
+        f[:] = K[N_STAGES]
     return np.hstack(out).T
 
 
-def _interpolate(fun, K, t_old, t, y_old, y, f, times):
+def _interpolate(fun, K, dense_stages, t_old, t, y_old, y, times):
     """The step's degree-7 interpolant at ``times``, as an (n, len(times)) view."""
     h = t - t_old
-    _stages(fun, K, t_old, y_old, h, range(N_STAGES + 1, 16))
+    _stages(fun, dense_stages, t_old, y_old, h)
     F = np.empty((7, y.size))
-    f_old = K[0]
+    f_old, f = K[0], K[N_STAGES]
     delta_y = y - y_old
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
-    x = ((times - t_old) / h)[:, None]
-    out = np.zeros((len(x), y.size))
-    for i, row in enumerate(reversed(F)):
+    D.dot(K, out=F[3:])
+    F[3:] *= h
+    # Horner's rule on full (len(times), n) operands, for which numpy's
+    # loops are faster than broadcasting a row or a column
+    shape = (len(times), y.size)
+    x = ((times - t_old) / h).repeat(y.size).reshape(shape)
+    one_minus_x = 1 - x
+    out = np.zeros(shape)
+    for i, row in enumerate(F[::-1, None].repeat(len(times), axis=1)):
         out += row
-        out *= x if i % 2 == 0 else 1 - x
+        out *= x if i % 2 == 0 else one_minus_x
     out += y_old
     return out.T

@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, admissibility, central, fourbody, models
+from ._dop853 import MIN_RTOL
 from .errors import NBodyError, NoConvergenceError
 from .potential import MassVector, hessian_w
 from .reporting import RunReport, jsonable
@@ -29,6 +31,13 @@ class CliUsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # usage problems (including unknown flags) exit with status 1 and one
     # line, in the same form as a CliUsageError; --help shows the usage
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number, or a number list that starts with one ("-1e-3",
+        # "-0.25,1,1", "-inf"), is a value and not a flag; argparse's own test
+        # takes only a lone int or decimal such as "-1" or "-.5"
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -47,6 +56,14 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _rtol(text: str) -> float:
+    value = _positive_float(text)
+    if value < MIN_RTOL:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {float(MIN_RTOL)!r} (100 machine epsilons), got {text!r}")
     return value
 
 
@@ -152,7 +169,7 @@ def build_parser() -> _Parser:
                    help="integration time (> 0)")
     p.add_argument("--samples", type=_int_at_least(2, "samples"), default=2001,
                    help="output samples (at least 2)")
-    p.add_argument("--rtol", type=_positive_float, default=1e-12,
+    p.add_argument("--rtol", type=_rtol, default=1e-12,
                    help="integrator tolerance (> 0)")
     p.add_argument("--init-json", default=None,
                    help="JSON model file; its fields (model, n, kappa, dof, masses, "

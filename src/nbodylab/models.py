@@ -26,7 +26,10 @@ is almost all right-hand sides: one chart gradient each.
 
 ``simulate`` steps with ``_dop853``, the package's port of the DOP853 path of
 ``scipy.integrate.solve_ivp`` with ``t_eval``: the same steps, samples and
-right-hand-side count, bit for bit, without loading scipy.
+right-hand-side count, bit for bit, without loading scipy.  The stepper hands
+the right-hand side a row of its stage matrix to fill: the velocities p / m go
+into the first dof entries (``np.divide`` in place) and the chart gradient
+into the rest, with no concatenated copy per evaluation.
 """
 
 from __future__ import annotations
@@ -597,16 +600,16 @@ def simulate(chart, q0, p0, t_end: float, rtol: float = 1e-12,
     nev = 0
     last = (0.0, q0)  # time and positions of the latest RHS evaluation
 
-    def rhs(t, state):
+    def rhs(t, state, out):
         nonlocal nev, last
         nev += 1
         q = state[:dof]
         last = (t, q)
         try:
-            grad = chart_gradient(q)
+            out[dof:] = chart_gradient(q)
         except CollisionError as exc:
             raise StepFailureError(f"collision floor reached during a step: {exc}") from exc
-        return np.concatenate([state[dof:] / dof_masses, grad])
+        np.divide(state[dof:], dof_masses, out=out[:dof])
 
     times = np.linspace(0.0, t_end, samples)
     try:

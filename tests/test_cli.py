@@ -1,5 +1,6 @@
 """End-to-end runs of the batch CLI: exit codes, files, digests, schemas."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -12,8 +13,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nbodylab import models, reporting
-from nbodylab.cli import _sweep_csv_chunks, main
+from nbodylab import cli, models, reporting
+from nbodylab.cli import _sweep_csv_chunks, build_parser, main
 from nbodylab.fourbody import TraceSweepResult, trace_sweep
 from nbodylab.reporting import RunReport, validate_payload
 
@@ -598,6 +599,10 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
      "pairs takes at most --cells 1000, got 1001"),
     (["sweep", "--cells", "100000000"], "sweep takes at most --cells 3000, got 100000000"),
     (["sweep", "--cells", "3001", "--jobs", "2"], "sweep takes at most --cells 3000, got 3001"),
+    (["simulate", "--model", "kepler", "--t-end", "1", "--rtol", "1e-300"],
+     "argument --rtol: must be at least 2.220446049250313e-14 (100 machine epsilons), "
+     "got '1e-300'"),
+    (["solve-cc", "--masses", "-inf,1"], "argument --masses: non-finite value '-inf'"),
 ], ids=["t-end-inf", "rtol-nan", "kappa-nan", "threshold-nan", "sweep-rho-max-inf",
         "pairs-rho-max-nan", "t-end-zero", "t-end-negative", "rtol-zero",
         "init-json-t-end-zero", "jobs-negative", "jobs-zero", "pairs-one-cell",
@@ -605,7 +610,8 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
         "solve-cc-no-mass", "planar-one-mass", "full-one-mass", "order-repeat",
         "order-short", "planar-order-out-of-range", "colinear-one-mass",
         "check-subspace-no-samples", "full-d-zero", "init-json-d-zero", "pairs-cells-1e8",
-        "pairs-cells-1001", "sweep-cells-1e8", "sweep-cells-3001"])
+        "pairs-cells-1001", "sweep-cells-1e8", "sweep-cells-3001", "rtol-below-floor",
+        "masses-minus-inf"])
 def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                         argv, message):
     # every case is rejected before any work: were one to reach the integrator
@@ -635,6 +641,65 @@ def test_unknown_flag_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ek", "--k", "5", "--rho", "1", "--bogus", "--out", str(tmp_path)])
     assert exc.value.code == 1
+
+
+NEGATIVE_LISTS = [
+    ["solve-cc", "--masses", "-0.25,1,1"],
+    ["check-subspace", "--builtin", "colinear", "--masses", "-1,2,3"],
+    ["simulate", "--model", "kepler", "--dof", "3", "--q0", "-1,0,1.5", "--p0", "-0.2,0.9,0",
+     "--t-end", "0.5", "--samples", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_LISTS, ids=["solve-cc", "check-subspace", "simulate"])
+def test_a_number_list_may_start_with_a_minus(argv):
+    # "--masses -1,2" reads as "--masses=-1,2", the form that always parsed
+    joined = []
+    for token in argv:
+        if token[0] == "-" and token[1].isdigit():
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    assert len(joined) < len(argv)
+    assert vars(build_parser().parse_args(argv)) == vars(build_parser().parse_args(joined))
+
+
+def test_a_state_with_negative_leading_entries_is_simulated(tmp_path, capsys):
+    run_dir = run_ok([*NEGATIVE_LISTS[2], "--out", str(tmp_path)], capsys)
+    payload = json.loads((run_dir / "simulate.json").read_text())
+    assert payload["q0"] == [-1.0, 0.0, 1.5]
+    assert payload["p0"] == [-0.2, 0.9, 0.0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve-cc", "--masses", "-1,2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["solve-cc", "--bogus", "--masses", "-1,2"], "unrecognized arguments: --bogus"),
+    (["solve-cc", "--masses", "--bogus"], "argument --masses: expected one argument"),
+    (["simulate", "--model", "kepler", "--q0", "-x,1"], "argument --q0: expected one argument"),
+], ids=["flag-after", "flag-before", "flag-as-value", "letter-after-minus"])
+def test_an_unknown_flag_next_to_a_negative_list_exits_1(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-cc", "--masses", "1,2,3", "--n", "3", "--order", "2,0,1"],
+    ["planar", "--masses", "0.5,1", "--out", "elsewhere"],
+    ["check-subspace", "--builtin", "colinear", "--masses", "1,2,3", "--seed", "-4"],
+    ["simulate", "--model", "full", "--masses", "1,1", "--d", "1", "--q0", "1,2",
+     "--p0", "0,0", "--t-end", "2", "--rtol", "1e-9"],
+    ["simulate", "--model", "kepler", "--rtol", "2.220446049250313e-14", "--q0=-1,0,0"],
+    ["sweep", "--rho-max", "5", "--cells", "10", "--jobs", "1"],
+    ["ek", "--k", "5", "--rho", "3/2"],
+])
+def test_positive_lists_parse_as_with_argparse_own_negative_number_test(monkeypatch, argv):
+    ours = vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(cli._Parser, "__init__", argparse.ArgumentParser.__init__)
+    assert vars(build_parser().parse_args(argv)) == ours
 
 
 def test_missing_model_choice_exits_1(tmp_path, capsys):

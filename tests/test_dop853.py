@@ -4,12 +4,17 @@
 path of ``solve_ivp(method="DOP853", t_eval=...)`` it needs.  The port must
 give scipy's bits: the same tables, and the same times, states, integrals and
 right-hand-side counts as ``solve_ivp`` with the same right-hand side.
+The port writes each stage into its row of the stage matrix in place; the
+cases shaped like the benchmark's orbits, and the eccentric orbit whose
+rejected attempts overwrite the step's last row, hold that path to scipy's.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbodylab import _dop853
 from nbodylab.errors import StepFailureError
@@ -20,6 +25,7 @@ from nbodylab.models import (
     RotatedChart,
     circular_orbit_state,
     decouple_matrix,
+    polygon_alpha,
     simulate,
 )
 
@@ -49,6 +55,18 @@ def _scipy_run(chart, q0, p0, t_end, rtol, samples):
     sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([q0, p0]), method="DOP853",
                     t_eval=np.linspace(0.0, t_end, samples), rtol=rtol, atol=1e-13)
     return sol, seen[0]
+
+
+def _assert_same_run(rec, sol, chart):
+    """simulate's record holds the bits of what solve_ivp returned."""
+    states = sol.y.T
+    vals = chart.integrals(states[:, :chart.dof], states[:, chart.dof:])
+    assert np.array_equal(rec.times, sol.t)
+    assert np.array_equal(rec.states, states)
+    assert rec.states.flags.f_contiguous == states.flags.f_contiguous
+    assert rec.integral_names == list(vals)
+    assert np.array_equal(rec.integral_series, np.column_stack(list(vals.values())))
+    assert rec.rhs_evaluations == sol.nfev
 
 
 def _plane_rotation(theta):
@@ -94,6 +112,27 @@ def _nbody(d):
     return make
 
 
+def _eccentric(e):
+    """One period of a Kepler orbit of eccentricity e, from its periapsis."""
+    def make():
+        kappa, r_peri = 2.5, 1.2
+        q0, p0, _ = circular_orbit_state(kappa, r_peri)
+        semi_major = r_peri / (1.0 - e)
+        period = 2.0 * math.pi * math.sqrt(semi_major**3 / kappa)
+        return CentralForceChart(kappa, dof=2), q0, math.sqrt(1.0 + e) * p0, period
+    return make
+
+
+def _hexagon():
+    # a rigidly rotating regular hexagon of unit masses, as in the orbits workload
+    n, radius = 6, 1.1
+    omega = math.sqrt(polygon_alpha(n) / radius**3)
+    ang = 0.4 + 2.0 * math.pi * np.arange(n) / n
+    q = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    p = omega * np.column_stack([-q[:, 1], q[:, 0]])
+    return NBodyChart(np.ones(n), 2), q.reshape(-1), p.reshape(-1), 2.0 * math.pi / omega
+
+
 CASES = {
     "paired-orbits": _five_body,
     "central-dof2": _central(2),
@@ -104,6 +143,8 @@ CASES = {
     "nbody-d1": _nbody(1),
     "nbody-d2": _nbody(2),
     "nbody-d3": _nbody(3),
+    "nbody-hexagon": _hexagon,
+    "central-e0.9": _eccentric(0.9),
 }
 
 
@@ -115,14 +156,37 @@ def test_simulate_carries_the_bits_of_solve_ivp(make, rtol):
         rec = simulate(chart, q0, p0, t_end, rtol=rtol, samples=samples)
         sol, _ = _scipy_run(chart, q0, p0, t_end, rtol, samples)
         assert sol.success
-        states = sol.y.T
-        vals = chart.integrals(states[:, :chart.dof], states[:, chart.dof:])
-        assert np.array_equal(rec.times, sol.t)
-        assert np.array_equal(rec.states, states)
-        assert rec.states.flags.f_contiguous == states.flags.f_contiguous
-        assert rec.integral_names == list(vals)
-        assert np.array_equal(rec.integral_series, np.column_stack(list(vals.values())))
-        assert rec.rhs_evaluations == sol.nfev
+        _assert_same_run(rec, sol, chart)
+
+
+def test_rejected_attempts_keep_the_bits_of_solve_ivp(monkeypatch):
+    # a rejected attempt rewrites the stage rows, the last one included; the
+    # retry must start again from the derivative of the accepted state
+    norms = []
+    error_norm = _dop853._error_norm
+
+    def recorded(K, h, scale):
+        norms.append(error_norm(K, h, scale))
+        return norms[-1]
+
+    monkeypatch.setattr(_dop853, "_error_norm", recorded)
+    chart, q0, p0, t_end = _eccentric(0.9)()
+    rec = simulate(chart, q0, p0, t_end, samples=201)
+    rejected = sum(norm >= 1 for norm in norms)
+    assert 1 <= rejected < len(norms)
+    sol, _ = _scipy_run(chart, q0, p0, t_end, 1e-12, 201)
+    _assert_same_run(rec, sol, chart)
+
+
+@settings(max_examples=25, deadline=None)
+@given(e=st.floats(0.0, 0.95, exclude_max=True), rtol=st.sampled_from([1e-12, 1e-9]),
+       samples=st.integers(2, 300))
+def test_any_kepler_orbit_keeps_the_bits_of_solve_ivp(e, rtol, samples):
+    chart, q0, p0, t_end = _eccentric(e)()
+    rec = simulate(chart, q0, p0, t_end, rtol=rtol, samples=samples)
+    sol, _ = _scipy_run(chart, q0, p0, t_end, rtol, samples)
+    assert sol.success
+    _assert_same_run(rec, sol, chart)
 
 
 def test_step_underflow_stops_where_solve_ivp_stops():
@@ -157,9 +221,12 @@ def test_first_step_is_scipys():
     def fun(t, y):
         return 1e-3 * np.sin(1e5 * y)
 
+    def fun_into(t, y, out):  # the port's convention: dy/dt written into out
+        out[:] = fun(t, y)
+
     y0 = np.array([3.0, -0.2, 1.7, 0.05])
     f0 = fun(0.0, y0)
     for t_end in (1e-6, 1.0, 100.0):
         for rtol in (1e-12, 1e-6):
             want = select_initial_step(fun, 0.0, y0, t_end, np.inf, f0, 1.0, 7, rtol, 1e-13)
-            assert _dop853._initial_step(fun, y0, t_end, f0, rtol, 1e-13) == want
+            assert _dop853._initial_step(fun_into, y0, t_end, f0, rtol, 1e-13) == want
