@@ -10,7 +10,11 @@ same order, so states and right-hand-side counts carry scipy's bits.  The
 numpy calls around them differ: the right-hand side writes each stage
 derivative into its row of the stage matrix K, the stage states are built in
 place (a product with the rows before, times h, plus y; the addition commutes
-exactly), and the step control runs on Python floats.
+exactly), and the step control runs on Python floats.  The dense output is
+made once per run: a step that holds output times runs the three extra
+stages and copies what its interpolant needs into a per-run store, and after
+the last step one pass builds every step's coefficients and evaluates all
+samples together.
 
 Adapted from scipy/integrate/_ivp/rk.py, common.py and dop853_coefficients.py
 of SciPy 1.17, under this licence:
@@ -232,9 +236,13 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol):
     ``out`` is a row of the stage matrix K, so the rows of K are the function's
     outputs, written in place.  ``fun`` must not change ``y``, and may keep it:
     the stepper never writes to an array once it has passed it as ``y``.  The
-    start is y0 at t = 0.  The (len(t_eval), len(y0)) result is
-    Fortran-ordered, as scipy's ``sol.y.T`` is.  Raises StepUnderflow with
-    scipy's message when the step size underflows.
+    start is y0 at t = 0.  Each step that holds output times adds its start,
+    size, end states and interpolant rows to a per-run store, and
+    ``_dense_output`` evaluates all samples from it after the last step.  The
+    (len(t_eval), len(y0)) result has the memory layout of scipy's
+    ``sol.y.T``: C-ordered if some step holds two samples or more, else
+    Fortran-ordered.  Raises StepUnderflow with scipy's message when the step
+    size underflows.
     """
     if rtol < MIN_RTOL:
         warnings.warn(f"rtol {rtol} is below {MIN_RTOL}; using {MIN_RTOL}", stacklevel=3)
@@ -248,7 +256,11 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol):
     stages = [(K.T[:, :s], A[s, :s], float(C[s]), K[s]) for s in range(16)]
     step_stages, dense_stages = stages[1:N_STAGES + 1], stages[N_STAGES + 1:]
     times = t_eval.tolist()
-    done, out = 0, []
+    # per step that holds samples: the index after its last sample, the
+    # step's start, size and states, and the rows its interpolant is made of,
+    # for one dense output pass after the last step
+    store = []
+    done = 0
     while t < t_end:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -273,36 +285,59 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        t_old, y_old = t, y
-        t, y = t_new, y_new
-        stop = bisect.bisect_right(times, t)
+        stop = bisect.bisect_right(times, t_new)
         if stop > done:
-            out.append(_interpolate(fun, K, dense_stages, t_old, t, y_old, y, t_eval[done:stop]))
+            store.append((stop, t, h, y, y_new,
+                          _dense_rows(fun, K, dense_stages, t, y, h)))
             done = stop
+        t, y = t_new, y_new
         f[:] = K[N_STAGES]
-    return np.hstack(out).T
+    return _dense_output(t_eval, *map(np.array, zip(*store)))
 
 
-def _interpolate(fun, K, dense_stages, t_old, t, y_old, y, times):
-    """The step's degree-7 interpolant at ``times``, as an (n, len(times)) view."""
-    h = t - t_old
+def _dense_rows(fun, K, dense_stages, t_old, y_old, h):
+    """f_old, f and D K of an accepted step: a copy of what its interpolant needs.
+
+    Runs the three extra stages of the dense output into K first.
+    """
     _stages(fun, dense_stages, t_old, y_old, h)
-    F = np.empty((7, y.size))
-    f_old, f = K[0], K[N_STAGES]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    D.dot(K, out=F[3:])
-    F[3:] *= h
-    # Horner's rule on full (len(times), n) operands, for which numpy's
-    # loops are faster than broadcasting a row or a column
-    shape = (len(times), y.size)
-    x = ((times - t_old) / h).repeat(y.size).reshape(shape)
+    rows = np.empty((6, y_old.size))
+    rows[0] = K[0]
+    rows[1] = K[N_STAGES]
+    D.dot(K, out=rows[2:])
+    return rows
+
+
+def _dense_output(t_eval, ends, t_old, h, y_old, y, rows):
+    """All samples of a run from its steps' degree-7 interpolants, in one pass.
+
+    Row s of ``t_old``, ``h``, ``y_old``, ``y`` and ``rows`` (f_old, f and
+    D K) belongs to the s-th step that holds samples, whose samples end at
+    index ``ends[s]`` of ``t_eval``.  The coefficients F0..F6 of all steps
+    come first, then Horner's rule runs over all samples at once:
+    y_old + x (F0 + (1 - x) (F1 + x (F2 + ... x F6))) at x = (t - t_old) / h.
+    Each operation on each element is that of the step-by-step interpolant.
+    The (len(t_eval), n) result is assembled as scipy's ``sol.y.T`` is, from
+    the transposed samples of each step, so it has the same memory layout:
+    C-ordered if some step holds two samples or more, else Fortran-ordered.
+    """
+    h_col = h[:, None]
+    F = np.empty((h.size, 7, y.shape[1]))
+    delta_y = np.subtract(y, y_old, out=F[:, 0])
+    F[:, 1] = h_col * rows[:, 0] - delta_y
+    F[:, 2] = 2 * delta_y - h_col * (rows[:, 1] + rows[:, 0])
+    np.multiply(rows[:, 2:], h_col[:, :, None], out=F[:, 3:])
+    step = np.repeat(np.arange(h.size), np.diff(ends, prepend=0))
+    shape = (t_eval.size, y.shape[1])
+    # Horner's rule on full (samples, n) operands, for which numpy's loops
+    # are faster than broadcasting a row or a column
+    x = ((t_eval - t_old[step]) / h[step]).repeat(shape[1]).reshape(shape)
     one_minus_x = 1 - x
     out = np.zeros(shape)
-    for i, row in enumerate(F[::-1, None].repeat(len(times), axis=1)):
-        out += row
+    for i in range(7):
+        out += F[step, 6 - i]
         out *= x if i % 2 == 0 else one_minus_x
-    out += y_old
-    return out.T
+    out += y_old[step]
+    ends = ends.tolist()
+    pieces = [out[a:b].T for a, b in zip([0, *ends], ends)]
+    return np.concatenate(pieces, axis=1).T

@@ -29,7 +29,12 @@ is almost all right-hand sides: one chart gradient each.
 right-hand-side count, bit for bit, without loading scipy.  The stepper hands
 the right-hand side a row of its stage matrix to fill: the velocities p / m go
 into the first dof entries (``np.divide`` in place) and the chart gradient
-into the rest, with no concatenated copy per evaluation.
+into the rest, with no concatenated copy per evaluation.  The stepper keeps
+per run what each step's interpolant needs and evaluates all output samples
+in one pass after the last step; the states come back laid out as scipy's
+``sol.y.T`` (C-ordered once a step holds two samples).  ``NBodyChart`` at
+d >= 2 computes its mass products once and takes the gradient from
+``potential``'s in-place pair kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .potential import (
     MassVector,
     _gradient,
     _pair_distances,
+    _pair_sum,
     _potential_batch,
     acceleration,
     eval_potential,
@@ -366,6 +372,7 @@ class NBodyChart:
         self.dof = self.masses.n * d
         self.dof_masses = np.repeat(self.masses.values, d)
         self.name = f"{self.masses.n}-body d={d}"
+        self._mass_products = np.multiply.outer(self.masses.values, self.masses.values)
 
     def _config(self, q):
         return Configuration(np.asarray(q, dtype=float).reshape(-1, self.d))
@@ -379,7 +386,10 @@ class NBodyChart:
         q = np.asarray(q, dtype=float)
         if not np.isfinite(q).all():
             raise ValueError("coordinates must be finite")
-        return _gradient(self.masses.values, q.reshape(-1, self.d)).reshape(-1)
+        q = q.reshape(-1, self.d)
+        if self.d == 1:
+            return _gradient(self.masses.values, q).reshape(-1)
+        return _pair_sum(self._mass_products, q).reshape(-1)
 
     def min_separation(self, q) -> float:
         return float(_pair_distances(self._config(q).coords)[1].min())

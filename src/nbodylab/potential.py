@@ -22,7 +22,11 @@ and whose W comes from ``_w_batch``, the package's one 1-D W builder
 mass-line code in ``fourbody`` batches over shapes.  The general kernels
 serve d >= 2; on the (x, 0) planar embedding they agree with the 1-D path
 to rounding.  There ``gradient`` and ``acceleration`` share one n x n pass
-(``_pair_field``), and the field is summed directly, so a zero mass is fine.
+(``_pair_field``) and one in-place pair sum (``_pair_sum``, weights m_i m_j
+or m_j), and the field is summed directly, so a zero mass is fine.  On the
+plane the squared distances are the two squared axis planes added, and the
+pair sum forms its terms in the pair arrays; both keep the bits of the
+einsum forms they replace.
 ``eval_potential`` is ``_potential_batch`` of one configuration; the model
 charts take the potential of a whole trajectory's samples from it at once.
 """
@@ -146,15 +150,32 @@ def _raise_collision(r: np.ndarray, iu) -> None:
     )
 
 
+# bounded: one entry holds 8 n^2 bytes
+@functools.lru_cache(maxsize=32)
+def _inf_diagonal(n: int) -> np.ndarray:
+    """Read-only n x n matrix, inf on the diagonal and 0 elsewhere."""
+    out = np.zeros((n, n))
+    np.fill_diagonal(out, np.inf)
+    out.flags.writeable = False
+    return out
+
+
 def _pair_distances(q: np.ndarray):
     """n x n separations q_i - q_j and distances of one configuration, no floor check.
 
     The diagonal distance is inf: 1 / r^k is +0 there and one min finds the closest pair.
+    On the plane the squared distance is the sum of the two squared axis
+    planes, which is einsum's sum bit for bit; other d keep einsum.
     """
+    n, d = q.shape
     diff = q[:, None, :] - q[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    return diff, dist
+    if d == 2:
+        sq = diff * diff
+        dist = np.add(sq[:, :, 0], sq[:, :, 1])
+    else:
+        dist = np.einsum("ijk,ijk->ij", diff, diff)
+    dist += _inf_diagonal(n)
+    return diff, np.sqrt(dist, out=dist)
 
 
 def _pair_field(q: np.ndarray):
@@ -275,9 +296,24 @@ def _gradient(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``gradient`` of a mass array and an (n, d) float array, both taken as checked."""
     if q.shape[1] == 1:
         return (m * _line_field(m, q[:, 0]))[:, None]
+    return _pair_sum(np.multiply.outer(m, m), q)
+
+
+def _pair_sum(weights: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_j w_ij (q_j - q_i) / r_ij^3 of an (n, d) array q, d >= 2.
+
+    ``weights`` holds w_ij, as an (n, n) array or a (1, n) row.  The terms
+    w_ij (q_i - q_j) / r_ij^3 are formed in the pair arrays in place, summed
+    over j and negated, with the bits of ``-einsum("ij,ijk->ik", w / r^3,
+    q_i - q_j)``, signed zeros included: both sums start from +0 and add the
+    terms in order of j.
+    """
     diff, dist = _pair_field(q)
-    w = (m[:, None] * m[None, :]) * dist ** -3
-    return -np.einsum("ij,ijk->ik", w, diff)
+    np.power(dist, -3, out=dist)
+    dist *= weights
+    np.multiply(dist[:, :, None], diff, out=diff)
+    out = np.add.reduce(diff, axis=1)
+    return np.negative(out, out=out)
 
 
 def acceleration(masses, coords) -> np.ndarray:
@@ -290,8 +326,7 @@ def acceleration(masses, coords) -> np.ndarray:
     q = as_coord_array(coords)
     if q.shape[1] == 1:
         return _line_field(m, q[:, 0])[:, None]
-    diff, dist = _pair_field(q)
-    return -np.einsum("ij,ijk->ik", m[None, :] * dist ** -3, diff)
+    return _pair_sum(m[None, :], q)
 
 
 def _w_matrix(m: np.ndarray, q: np.ndarray) -> np.ndarray:

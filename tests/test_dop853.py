@@ -230,3 +230,63 @@ def test_first_step_is_scipys():
         for rtol in (1e-12, 1e-6):
             want = select_initial_step(fun, 0.0, y0, t_end, np.inf, f0, 1.0, 7, rtol, 1e-13)
             assert _dop853._initial_step(fun_into, y0, t_end, f0, rtol, 1e-13) == want
+
+
+def _kepler(t, y, out):
+    # a planar Kepler orbit, kappa 2.5, in the port's convention
+    r3 = (y[0] * y[0] + y[1] * y[1]) ** 1.5
+    out[:2] = y[2:]
+    out[2:] = -2.5 * y[:2] / r3
+
+
+def _kepler_start(e=0.6):
+    return np.array([1.2, 0.0, 0.0, math.sqrt(2.5 * (1.0 + e) / 1.2)])
+
+
+def _fill(fun, t, y):
+    out = np.empty_like(y)
+    fun(t, y, out)
+    return out
+
+
+def _kepler_solve_ivp(t_end, rtol, t_eval=None):
+    return solve_ivp(lambda t, y: _fill(_kepler, t, y), (0.0, t_end), _kepler_start(),
+                     method="DOP853", t_eval=t_eval, rtol=rtol, atol=1e-13)
+
+
+def _irregular_samples(t_end, ends):
+    """Output times of several shapes, given the accepted step ends (0 excluded)."""
+    rng = np.random.default_rng(7)
+    return {
+        "one sample": np.array([0.37 * t_end]),
+        "one sample at the end": np.array([t_end]),
+        "all in the first step": np.sort(rng.uniform(0.0, 0.9 * ends[0], 9)),
+        "on accepted step ends": ends[::3],
+        "on step ends and between": np.sort(np.concatenate([
+            ends[1::4], (0.5 * (ends[:-1] + ends[1:]))[2::5]])),
+        "most steps hold none": np.array([0.0, 0.011 * t_end, 0.5 * t_end, t_end]),
+        "clustered": np.sort(np.concatenate([
+            rng.uniform(0.2, 0.2001, 40) * t_end, rng.uniform(0.0, 1.0, 5) * t_end])),
+    }
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-7])
+def test_irregular_samples_keep_the_bits_of_solve_ivp(rtol):
+    # the samples of all steps are interpolated in one pass after the last
+    # step; the result must still be solve_ivp's, its memory layout included
+    t_end = 9.0
+    ends = _kepler_solve_ivp(t_end, rtol).t[1:]
+    assert len(ends) > 10
+    for name, t_eval in _irregular_samples(t_end, ends).items():
+        nev = [0]
+
+        def fun(t, y, out):
+            nev[0] += 1
+            _kepler(t, y, out)
+
+        states = _dop853.integrate(fun, _kepler_start(), t_end, t_eval, rtol, 1e-13)
+        sol = _kepler_solve_ivp(t_end, rtol, t_eval)
+        assert sol.success, name
+        assert np.array_equal(states, sol.y.T), name
+        assert states.flags.f_contiguous == sol.y.T.flags.f_contiguous, name
+        assert nev[0] == sol.nfev, name

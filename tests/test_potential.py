@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nbodylab import potential as potential_module
 from nbodylab.errors import CollisionError
+from nbodylab.models import NBodyChart
 from nbodylab.potential import (
     COLLISION_FLOOR,
     Configuration,
@@ -395,3 +396,65 @@ def test_acceleration_of_a_zero_mass_body_is_the_field_of_the_others():
     npt.assert_allclose(space[:, 1], line, rtol=1e-15)
     assert not plane[:, 1].any() and not space[:, [0, 2]].any()
     npt.assert_allclose(line, [0.32, 2.0 / 1.5**2 - 1.0, -0.16], rtol=1e-15)
+
+
+def einsum_pair_kernels(m, q):
+    """Gradient and acceleration in the einsum form: the reference bits."""
+    diff = q[:, None, :] - q[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    grad = -np.einsum("ij,ijk->ik", (m[:, None] * m[None, :]) * dist ** -3, diff)
+    acc = -np.einsum("ij,ijk->ik", m[None, :] * dist ** -3, diff)
+    return grad, acc
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: the values and the signs of their zeros."""
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def pair_kernel_problems(d):
+    rng = np.random.default_rng(90 + d)
+    for n in range(2, 13):
+        q = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        line = q.copy()
+        line[:, 1:] = 0.0  # zero separations on every axis but one
+        for masses in (np.ones(n), rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n),
+                       np.where(np.arange(n) % 3 == 1, 0.0, rng.uniform(0.2, 3.0, n))):
+            for coords in (q, line):
+                yield masses, coords
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_in_place_pair_kernel_keeps_the_einsum_bits(d):
+    for m, q in pair_kernel_problems(d):
+        grad, acc = einsum_pair_kernels(m, q)
+        assert same_bits(gradient(m, q), grad)
+        assert same_bits(acceleration(m, q), acc)
+        assert same_bits(NBodyChart(m, d).gradient(q.reshape(-1)), grad.reshape(-1))
+        assert same_bits(hessian_w(m, q).matrix, w_product_form(m, q))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_in_place_pair_kernel_keeps_errors_and_returns_fresh_arrays(d):
+    chart = NBodyChart([1.0, 2.0, 0.5, 1.5], d)
+    q = np.random.default_rng(d).normal(size=4 * d)
+    first = chart.gradient(q)
+    second = chart.gradient(q)
+    assert first is not second and not np.shares_memory(first, second)
+    assert same_bits(first, second)
+    first[:] = 0.0
+    assert same_bits(chart.gradient(q), second)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            state = q.copy()
+            state[d + 1] = bad
+            with pytest.raises(ValueError, match="^coordinates must be finite$"):
+                chart.gradient(state)
+        state = q.copy()
+        state[2 * d:3 * d] = state[d:2 * d] + 0.5 * COLLISION_FLOOR
+        with pytest.raises(CollisionError) as info:
+            chart.gradient(state)
+    r = np.linalg.norm(state[2 * d:3 * d] - state[d:2 * d])
+    assert str(info.value) == f"bodies 1 and 2 are separated by {r:.3e} (floor 1.0e-08)"
