@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .central import CentralConfiguration, moulton_solve, normalize_cc
-from .errors import AbsoluteEquilibriumError, InvalidKError, SingularRhoError
+from .errors import AbsoluteEquilibriumError, FloatRangeError, InvalidKError, SingularRhoError
 from .potential import Configuration, MassVector, hessian_w, third_contract
 from .sturm import count_real_roots, descartes_positive_bound
 
@@ -188,12 +188,24 @@ class ExceptionalPoint:
 
 
 def exceptional_point(k: int, rho: float) -> ExceptionalPoint:
-    """Exceptional-curve masses plus the normalized cc and its spectrum."""
-    m = MassVector(np.array(exceptional_masses(float(k), float(rho))))
+    """Exceptional-curve masses plus the normalized cc and its spectrum.
+
+    Raises FloatRangeError when |rho| is too large for the float mass formula,
+    whose denominator grows as rho**8 and leaves the float range from about
+    3e38 (an OverflowError, or an inf that makes a mass nan).
+    """
+    try:
+        rho = float(rho)
+        masses = np.array(exceptional_masses(float(k), rho))
+    except OverflowError:
+        masses = None
+    if masses is None or not np.all(np.isfinite(masses)):
+        raise FloatRangeError(f"rho = {rho} is beyond the float range of the exceptional masses")
+    m = MassVector(masses)
     raw = CentralConfiguration.from_positions(m, np.array([-1.0, 0.0, rho]))
     cc = normalize_cc(raw)
     spec = hessian_w(cc.masses, cc.config).spectrum()
-    return ExceptionalPoint(int(k), float(rho), cc.masses, cc, spec)
+    return ExceptionalPoint(int(k), rho, cc.masses, cc, spec)
 
 
 def _require_curve_eigenvalue(k, minimum=5):

@@ -2,8 +2,9 @@
 
 One subcommand per analysis; every run writes a JSON summary, a CSV detail
 table and a manifest with output digests into its own timestamped directory.
-Usage problems exit 1; module errors exit 2 after writing a structured error
-JSON.
+A flag and the field of the same name in an --init-json or --json file pass
+one rule and give the same value.  Usage problems exit 1; module errors exit 2
+after writing a structured error JSON.
 """
 
 from __future__ import annotations
@@ -42,60 +43,68 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
-    return value
+_KIND_NAMES = {float: "a number", int: "an integer", Fraction: "a rational number",
+               str: "a string"}
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
+class _Rule:
+    """The rule of one input, for a flag and for a JSON field alike.
 
+    argparse calls it on a flag's text; with ``from_text=False`` it takes the
+    JSON value of the same field, which must already have the rule's type (a
+    bool or a string is not a number).  Both give the same value under the same
+    bounds.  ``items`` 1 reads a comma-separated list or a JSON list, 2 a JSON
+    list of lists; a bound pairs a test that the value breaks it with a message.
+    """
 
-def _rtol(text: str) -> float:
-    value = _positive_float(text)
-    if value < MIN_RTOL:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {float(MIN_RTOL)!r} (100 machine epsilons), got {text!r}")
-    return value
+    def __init__(self, kind, *bounds, items=0):
+        self.kind, self.bounds, self.items = kind, bounds, items
 
-
-def _float_list(text: str) -> list:
-    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-
-
-def _int_at_least(minimum: int, what: str):
-    """Argparse type: an integer no smaller than ``minimum``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"need at least {minimum} {what}, got {value}")
+    def __call__(self, raw, from_text=True):
+        value = self._value(raw, from_text, self.items)
+        for broken, message in self.bounds:
+            if broken(value):
+                raise argparse.ArgumentTypeError(message.format(value=value, raw=raw))
         return value
-    return parse
+
+    def _value(self, raw, from_text, items):
+        if items:
+            if from_text:
+                raw = [tok for tok in raw.split(",") if tok.strip() != ""]
+            elif not isinstance(raw, list):
+                raise argparse.ArgumentTypeError(f"not a list: {raw!r}")
+            return [self._value(item, from_text, items - 1) for item in raw]
+        json_kind = (int, float) if self.kind is float else self.kind
+        has_kind = from_text or (isinstance(raw, json_kind) and not isinstance(raw, bool))
+        try:
+            value = self.kind(raw) if has_kind else None
+            finite = value is None or self.kind not in (float, Fraction) or math.isfinite(value)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        except OverflowError:  # a rational or a JSON integer beyond the float range
+            value, finite = raw, False
+        if value is None:
+            raise argparse.ArgumentTypeError(f"not {_KIND_NAMES[self.kind]}: {raw!r}")
+        if not finite:
+            raise argparse.ArgumentTypeError(f"non-finite value {raw!r}")
+        return value
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+def _above(low):
+    return (lambda value: value <= low), f"must be > {low}, got {{raw!r}}"
+
+
+def _at_least(low, unit):
+    return (lambda value: value < low), f"need at least {low} {unit}, got {{value}}"
+
+
+def _at_most(high, unit):
+    return (lambda value: value > high), f"need at most {high} {unit}, got {{value}}"
+
+
+def _one_of(options):
+    listed = ", ".join(map(str, options))
+    return (lambda value: value not in options), f"must be one of {listed}, got {{value!r}}"
 
 
 # the largest grid each grid subcommand accepts; the peak RSS at each limit is
@@ -105,35 +114,74 @@ _MAX_CELLS = {"sweep": 3000, "pairs": 1000}
 # the chart fields each model reads; model, q0, p0 and t_end serve them all
 _MODEL_FIELDS = {"five-body": (), "n3": ("n",), "kepler": ("kappa", "dof"),
                  "full": ("masses", "d")}
-_SIMULATE_MODELS = tuple(_MODEL_FIELDS)
+
+# the one rule of each input: every typed flag's argparse type, and the rule
+# of each --init-json and --json field, which shares its flag's name
+_RULES = {
+    "masses": _Rule(float, (lambda value: len(value) < 2, "need at least 2 entries, got {value}"),
+                    items=1),
+    "q0": _Rule(float, items=1),
+    "p0": _Rule(float, items=1),
+    "basis_rows": _Rule(float, items=2),
+    "label": _Rule(str),
+    "order": _Rule(int, items=1),
+    "rho_max": _Rule(float, _above(1)),
+    "sweep_cells": _Rule(int, _at_least(2, "cells"), _at_most(_MAX_CELLS["sweep"], "cells")),
+    "pairs_cells": _Rule(int, _at_least(2, "cells"), _at_most(_MAX_CELLS["pairs"], "cells")),
+    "jobs": _Rule(int, _at_least(1, "worker")),
+    "n": _Rule(int, _at_least(2, "polygon bodies")),
+    "kappa": _Rule(float, _above(0)),
+    "dof": _Rule(int, _one_of((2, 3))),
+    "d": _Rule(int, _at_least(1, "dimension")),
+    "t_end": _Rule(float, _above(0)),
+    "samples": _Rule(int, _at_least(2, "samples")),
+    "subspace_samples": _Rule(int, _at_least(1, "sample")),
+    "rtol": _Rule(float, _above(0), (lambda value: value < MIN_RTOL, "must be at least "
+                  f"{float(MIN_RTOL)!r} (100 machine epsilons), got {{raw!r}}")),
+    # the exact ek masses of a longer rho pass Python's 4300-digit limit of int text
+    "rho": _Rule(Fraction, (lambda value: max(abs(value.numerator), value.denominator) >= 10**400,
+                            "need a numerator and denominator of at most 400 digits")),
+    "threshold": _Rule(float),
+    "int": _Rule(int),
+    "model": _Rule(str, _one_of(tuple(_MODEL_FIELDS))),
+}
+
+# the model fields of simulate and their built-in defaults: a typed flag wins,
+# the --init-json file fills the flags not typed, and the default the rest
+_SIMULATE_FIELDS = {"model": None, "n": 4, "kappa": 1.0, "dof": 3, "masses": None,
+                    "d": 2, "q0": None, "p0": None, "t_end": None}
+
+# the fields check-subspace --json reads; all but label are required
+_SUBSPACE_FIELDS = ("masses", "d", "basis_rows", "label")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nbodylab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"nbodylab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    rule = _RULES
 
     p = sub.add_parser("solve-cc", help="colinear central configuration of given masses")
-    p.add_argument("--masses", type=_float_list, required=True,
+    p.add_argument("--masses", type=rule["masses"], required=True,
                    help="comma-separated masses, e.g. 1,1,1")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=rule["int"], default=None,
                    help="expected body count (validated against --masses)")
-    p.add_argument("--order", type=_int_list, default=None,
+    p.add_argument("--order", type=rule["order"], default=None,
                    help="axis ordering as a permutation, e.g. 0,1,2")
     p.set_defaults(func=cmd_solve_cc)
 
     p = sub.add_parser("ek", help="exceptional-curve masses for spectrum {0,2,k}")
-    p.add_argument("--k", type=int, required=True, help="target eigenvalue (5, 9 or 14)")
-    p.add_argument("--rho", type=_fraction, required=True,
+    p.add_argument("--k", type=rule["int"], required=True, help="target eigenvalue (5, 9 or 14)")
+    p.add_argument("--rho", type=rule["rho"], required=True,
                    help="shape parameter as an exact rational, e.g. 1 or 3/2")
     p.set_defaults(func=cmd_ek)
 
     p = sub.add_parser("sweep", help="4-body boundary trace sweep over shape space")
-    p.add_argument("--rho-max", type=_finite_float, default=20.0,
-                   help="upper edge of both axes")
-    p.add_argument("--cells", type=int, default=400,
+    p.add_argument("--rho-max", type=rule["rho_max"], default=20.0,
+                   help="upper edge of both axes (> 1)")
+    p.add_argument("--cells", type=rule["sweep_cells"], default=400,
                    help=f"grid cells per axis (2 to {_MAX_CELLS['sweep']})")
-    p.add_argument("--jobs", type=_int_at_least(1, "worker"), default=None,
+    p.add_argument("--jobs", type=rule["jobs"], default=None,
                    help="worker processes (at least 1)")
     p.add_argument("--no-refine", action="store_true", help="skip local refinement")
     p.set_defaults(func=cmd_sweep)
@@ -141,36 +189,35 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pairs", help="classify admissible 4-body eigenvalue pairs")
     p.add_argument("--mode", choices=("nonsymmetric", "symmetric", "full"),
                    default="full", help="which feasibility stage to run")
-    p.add_argument("--rho-max", type=_finite_float, default=20.0, help="search window edge")
-    p.add_argument("--cells", type=int, default=240,
+    p.add_argument("--rho-max", type=rule["rho_max"], default=20.0, help="search window edge")
+    p.add_argument("--cells", type=rule["pairs_cells"], default=240,
                    help=f"grid cells per axis (2 to {_MAX_CELLS['pairs']})")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("planar", help="planar spectrum verdict at a colinear configuration")
-    p.add_argument("--masses", type=_float_list, required=True,
+    p.add_argument("--masses", type=rule["masses"], required=True,
                    help="comma-separated positive masses")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=rule["int"], default=None,
                    help="expected body count (validated against --masses)")
-    p.add_argument("--order", type=_int_list, default=None, help="axis ordering")
+    p.add_argument("--order", type=rule["order"], default=None, help="axis ordering")
     p.set_defaults(func=cmd_planar)
 
     p = sub.add_parser("simulate", help="integrate a model chart and report drifts")
-    p.add_argument("--model", choices=_SIMULATE_MODELS,
-                   default=None, help="which chart to integrate")
-    p.add_argument("--n", type=int, help="polygon size for the n3 model (default 4)")
-    p.add_argument("--kappa", type=_finite_float, help="kepler strength (default 1)")
-    p.add_argument("--dof", type=int, help="kepler degrees of freedom (default 3)")
-    p.add_argument("--masses", type=_float_list, default=None, help="full-model masses")
-    p.add_argument("--d", type=_int_at_least(1, "dimension"),
-                   help="full-model space dimension (default 2)")
-    p.add_argument("--q0", type=_float_list, default=None, help="initial positions")
-    p.add_argument("--p0", type=_float_list, default=None, help="initial momenta")
-    p.add_argument("--t-end", type=_positive_float, default=None,
+    p.add_argument("--model", type=rule["model"], default=None,
+                   help=f"which chart to integrate: {', '.join(_MODEL_FIELDS)}")
+    p.add_argument("--n", type=rule["n"], help="polygon size for the n3 model (default 4)")
+    p.add_argument("--kappa", type=rule["kappa"], help="kepler strength (default 1)")
+    p.add_argument("--dof", type=rule["dof"], help="kepler degrees of freedom (default 3)")
+    p.add_argument("--masses", type=rule["masses"], default=None, help="full-model masses")
+    p.add_argument("--d", type=rule["d"], help="full-model space dimension (default 2)")
+    p.add_argument("--q0", type=rule["q0"], default=None, help="initial positions")
+    p.add_argument("--p0", type=rule["p0"], default=None, help="initial momenta")
+    p.add_argument("--t-end", type=rule["t_end"], default=None,
                    help="integration time (> 0)")
-    p.add_argument("--samples", type=_int_at_least(2, "samples"), default=2001,
+    p.add_argument("--samples", type=rule["samples"], default=2001,
                    help="output samples (at least 2)")
-    p.add_argument("--rtol", type=_rtol, default=1e-12,
-                   help="integrator tolerance (> 0)")
+    p.add_argument("--rtol", type=rule["rtol"], default=1e-12,
+                   help="integrator tolerance (at least 100 machine epsilons)")
     p.add_argument("--init-json", default=None,
                    help="JSON model file; its fields (model, n, kappa, dof, masses, "
                         "d, q0, p0, t_end) fill the flags not typed")
@@ -179,15 +226,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-subspace", help="acceleration leakage of an invariant subspace")
     p.add_argument("--builtin", choices=("five-body", "n3", "colinear"), default=None,
                    help="one of the shipped subspaces")
-    p.add_argument("--n", type=int, default=4, help="polygon size for the n3 subspace")
-    p.add_argument("--masses", type=_float_list, default=None,
+    p.add_argument("--n", type=rule["n"], default=4, help="polygon size for the n3 subspace")
+    p.add_argument("--masses", type=rule["masses"], default=None,
                    help="masses for the colinear subspace or a JSON-free custom check")
     p.add_argument("--json", dest="json_file", default=None,
-                   help="JSON file with masses, d and basis_rows")
-    p.add_argument("--samples", type=_int_at_least(1, "sample"), default=50,
+                   help="JSON file with masses, d, basis_rows and an optional label")
+    p.add_argument("--samples", type=rule["subspace_samples"], default=50,
                    help="random points to draw (at least 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--threshold", type=_finite_float, default=1e-9, help="pass threshold")
+    p.add_argument("--seed", type=rule["int"], default=0, help="RNG seed")
+    p.add_argument("--threshold", type=rule["threshold"], default=1e-9, help="pass threshold")
     p.set_defaults(func=cmd_check_subspace)
 
     for sp in sub.choices.values():
@@ -195,22 +242,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_bodies(masses, n=None, order=None):
-    """Usage checks of --masses, --n and --order before any solve."""
-    if len(masses) < 2:
-        raise CliUsageError(f"--masses needs at least two entries, got {len(masses)}")
+def _check_bodies(masses, n, order):
+    """The checks of --n and --order against --masses, before any solve."""
     if n is not None and n != len(masses):
         raise CliUsageError(f"--n {n} does not match {len(masses)} masses")
     if order is not None and sorted(order) != list(range(len(masses))):
         raise CliUsageError(f"--order must be a permutation of 0..{len(masses) - 1}")
-
-
-def _check_grid(args):
-    if args.cells < 2 or args.rho_max <= 1.0:
-        raise CliUsageError(f"{args.subcommand} needs --cells >= 2 and --rho-max > 1")
-    limit = _MAX_CELLS[args.subcommand]
-    if args.cells > limit:
-        raise CliUsageError(f"{args.subcommand} takes at most --cells {limit}, got {args.cells}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +326,6 @@ def _sweep_csv_chunks(result):
 
 
 def cmd_sweep(args, report: RunReport):
-    _check_grid(args)
     result = fourbody.trace_sweep(rho_max=args.rho_max, cells=args.cells,
                                   jobs=args.jobs, refine=not args.no_refine)
     r1, r2, m3, which = result.argmax
@@ -310,7 +346,6 @@ def cmd_sweep(args, report: RunReport):
 
 
 def cmd_pairs(args, report: RunReport):
-    _check_grid(args)
     if args.mode == "full":
         cands = fourbody.classify_pairs(rho_max=args.rho_max, cells=args.cells)
     elif args.mode == "nonsymmetric":
@@ -359,7 +394,9 @@ def cmd_planar(args, report: RunReport):
     _write_eigenvalues_csv(report, rep)
 
 
-def _read_json_object(path, flag):
+def _read_fields(path, flag, fields, required=()) -> dict:
+    """The JSON object of ``flag``, each of ``fields`` passed through its rule
+    (a null has no rule's type), and each of ``required`` present."""
     try:
         with open(path, encoding="utf-8") as handle:
             spec = json.load(handle)
@@ -367,6 +404,15 @@ def _read_json_object(path, flag):
         raise CliUsageError(f"cannot read {flag}: {exc}") from exc
     if not isinstance(spec, dict):
         raise CliUsageError(f"{flag} must hold a JSON object")
+    for key in fields:
+        if key in spec:
+            try:
+                spec[key] = _RULES[key](spec[key], from_text=False)
+            except argparse.ArgumentTypeError as exc:
+                raise CliUsageError(f"{flag}: {key}: {exc}") from None
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise CliUsageError(f"{flag} lacks {', '.join(missing)}")
     return spec
 
 
@@ -382,16 +428,12 @@ def _build_chart(args):
         period = max(models.kepler_period(kap, r1), models.kepler_period(kap, r2))
         return chart, mix.T @ y0, mix.T @ w0, period
     if args.model == "n3":
-        if args.n < 2:
-            raise CliUsageError("--n must be at least 2")
         kap = 8.0 * args.n * models.polygon_alpha(args.n)
         chart = models.CentralForceChart(kap, dof=3, name=f"{args.n}+3 chart")
         q2, p2, period = models.circular_orbit_state(kap, 1.5)
         return (chart, np.array([q2[0], q2[1], 0.0]),
                 np.array([p2[0], p2[1], 0.0]), period)
     if args.model == "kepler":
-        if args.kappa <= 0 or args.dof not in (2, 3):
-            raise CliUsageError("kepler needs --kappa > 0 and --dof 2 or 3")
         chart = models.CentralForceChart(args.kappa, dof=args.dof)
         q2, p2, period = models.circular_orbit_state(args.kappa, 1.0)
         q0 = np.zeros(args.dof)
@@ -400,58 +442,14 @@ def _build_chart(args):
         return chart, q0, p0, period
     if args.masses is None:
         raise CliUsageError("--model full needs --masses")
-    _check_bodies(args.masses)
     chart = models.NBodyChart(MassVector(np.asarray(args.masses, dtype=float)), args.d)
     return chart, None, None, None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
-# the model fields of simulate: a typed flag wins, the --init-json file fills
-# the flags not typed, and the built-in default fills the rest.  Each field
-# also names what its --init-json value must hold; the model is checked first.
-_SIMULATE_FIELDS = {
-    "model": (None, lambda v: v in _SIMULATE_MODELS,
-              f"one of {', '.join(_SIMULATE_MODELS)}"),
-    "n": (4, _is_int, "an integer"),
-    "kappa": (1.0, _is_number, "a finite number"),
-    "dof": (3, _is_int, "an integer"),
-    "masses": (None, _is_number_list, "a list of finite numbers"),
-    "d": (2, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "q0": (None, _is_number_list, "a list of finite numbers"),
-    "p0": (None, _is_number_list, "a list of finite numbers"),
-    "t_end": (None, _is_positive, "a finite number > 0"),
-}
-
-
-def _read_init_json(path) -> dict:
-    """The --init-json object, after checking its model name and field types."""
-    spec = _read_json_object(path, "--init-json")
-    for key, (_, check, kind) in _SIMULATE_FIELDS.items():
-        if spec.get(key) is not None and not check(spec[key]):
-            raise CliUsageError(f"--init-json: {key} must be {kind}, not {spec[key]!r}")
-    return spec
-
-
 def cmd_simulate(args, report: RunReport):
-    spec = _read_init_json(args.init_json) if args.init_json else {}
+    spec = _read_fields(args.init_json, "--init-json", _SIMULATE_FIELDS) if args.init_json else {}
     typed = [key for key in _SIMULATE_FIELDS if getattr(args, key) is not None]
-    for key, (default, _, _) in _SIMULATE_FIELDS.items():
+    for key, default in _SIMULATE_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, spec.get(key, default))
     if args.model is None:
@@ -501,26 +499,19 @@ def cmd_simulate(args, report: RunReport):
 
 def cmd_check_subspace(args, report: RunReport):
     if args.json_file:
-        spec = _read_json_object(args.json_file, "--json")
-        missing = [key for key in ("masses", "d", "basis_rows") if key not in spec]
-        if missing:
-            raise CliUsageError(f"--json lacks {', '.join(missing)}")
+        spec = _read_fields(args.json_file, "--json", _SUBSPACE_FIELDS, _SUBSPACE_FIELDS[:3])
         try:
             sub = models.InvariantSubspace(
-                MassVector(np.asarray(spec["masses"], dtype=float)), int(spec["d"]),
-                np.asarray(spec["basis_rows"], dtype=float).T, spec.get("label", "custom"))
-        except (TypeError, ValueError) as exc:
+                MassVector(np.asarray(spec["masses"])), spec["d"],
+                np.asarray(spec["basis_rows"]).T, spec.get("label", "custom"))
+        except ValueError as exc:  # a ragged basis, or one of the wrong size or not orthonormal
             raise CliUsageError(f"--json: {exc}") from exc
     elif args.builtin == "five-body":
         sub = models.five_body_subspace()
     elif args.builtin == "n3":
-        if args.n < 2:
-            raise CliUsageError("--n must be at least 2")
         sub = models.n3_subspace(args.n)
     elif args.builtin == "colinear":
-        masses = args.masses if args.masses is not None else [1.0, 1.0, 1.0]
-        _check_bodies(masses)
-        sub = models.colinear_subspace(np.asarray(masses, dtype=float))
+        sub = models.colinear_subspace(np.asarray(args.masses or [1.0, 1.0, 1.0]))
     else:
         raise CliUsageError("pick --builtin or supply --json")
     result = models.check_invariant_subspace(sub, samples=args.samples, seed=args.seed)
@@ -547,10 +538,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     params = jsonable({
-        k: v for k, v in vars(args).items()
+        k: str(v) if isinstance(v, Fraction) else v for k, v in vars(args).items()
         if k not in ("func", "out", "subcommand") and v is not None
     })
-    params = {k: str(v) if isinstance(v, Fraction) else v for k, v in params.items()}
     try:
         report = RunReport(args.out, args.subcommand, params)
         try:

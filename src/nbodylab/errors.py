@@ -45,5 +45,13 @@ class StepFailureError(NBodyError):
     """Adaptive step control underflowed, typically near a collision."""
 
 
+class FloatRangeError(NBodyError):
+    """A float evaluation overflowed the range of double precision."""
+
+
+class SamplingStalledError(NBodyError):
+    """Rejection sampling drew too few admissible points."""
+
+
 class NonRealSpectrumWarning(UserWarning):
     """Signed masses produced a measurably complex spectrum."""

@@ -29,7 +29,7 @@ from nbodylab.central import (
     normalize_cc,
     positivity_interval,
 )
-from nbodylab.errors import InvalidKError
+from nbodylab.errors import FloatRangeError, InvalidKError
 from nbodylab.potential import MassVector, hessian_w
 
 
@@ -216,3 +216,10 @@ def test_planar_spectrum_random_masses_always_below_minus_one():
 ])
 def test_odd_family_predicate(values, expected):
     assert odd_family_predicate(values) is expected
+
+
+@pytest.mark.parametrize("rho", [3.3e38, 1e40, -1e40, 1e300])
+def test_exceptional_point_beyond_the_float_range_raises_a_typed_error(rho):
+    # at 3.3e38 k * rho**8 is inf and a mass is nan; from 1e40 rho**8 overflows
+    with pytest.raises(FloatRangeError):
+        exceptional_point(5, rho)

@@ -86,6 +86,23 @@ def test_ek_invalid_k_exits_2_with_error_json(tmp_path, capsys):
     assert not (run_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["ek", "--k", "5", "--rho", "1e40"], "FloatRangeError"),
+    (["ek", "--k", "14", "--rho", "3.3e38"], "FloatRangeError"),
+    (["check-subspace", "--builtin", "n3", "--n", "80", "--samples", "1"],
+     "SamplingStalledError"),
+], ids=["ek-rho-1e40", "ek-rho-nan-mass", "check-subspace-n3-80"])
+def test_float_range_and_stalled_sampling_exit_2_with_error_json(tmp_path, capsys, argv,
+                                                                 error):
+    code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"nbodylab {argv[0]}: {error}: ")
+    payload = json.loads((only_run_dir(tmp_path) / "error.json").read_text())
+    validate_payload(payload, "error")
+    assert payload["error"]["type"] == error
+
+
 def test_planar_equal_masses_is_obstructed(tmp_path, capsys):
     run_dir = run_ok(["planar", "--masses", "1,1,1", "--out", str(tmp_path)],
                      capsys)
@@ -112,9 +129,11 @@ def test_sweep_small_grid_writes_rows_and_digests(tmp_path, capsys):
     check_manifest(run_dir)
 
 
+_FROZEN_SWEEP = ["sweep", "--rho-max", "6", "--cells", "60", "--no-refine"]
+
+
 def test_sweep_output_bytes_are_frozen(tmp_path, capsys):
-    run_dir = run_ok(["sweep", "--rho-max", "6", "--cells", "60", "--no-refine",
-                      "--out", str(tmp_path)], capsys)
+    run_dir = run_ok([*_FROZEN_SWEEP, "--out", str(tmp_path)], capsys)
     digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                for name in ("sweep.csv", "sweep.json")}
     assert digests == {
@@ -364,6 +383,26 @@ def test_simulate_init_json_defines_the_model(tmp_path, capsys):
     assert payload["samples"] == 51
 
 
+@pytest.mark.parametrize("fields,flags", [
+    ({"model": "kepler", "kappa": 2, "dof": 2, "t_end": 3},
+     ["--model", "kepler", "--kappa", "2", "--dof", "2", "--t-end", "3"]),
+    ({"model": "full", "masses": [1, 2, 1], "d": 2, "q0": [1, 0, -1, 1, 0, -1],
+      "p0": [0, 1, -1, 0, 0, -1], "t_end": 1},
+     ["--model", "full", "--masses", "1,2,1", "--d", "2", "--q0", "1,0,-1,1,0,-1",
+      "--p0", "0,1,-1,0,0,-1", "--t-end", "1"]),
+], ids=["kepler", "full"])
+def test_init_json_integers_write_the_bytes_of_the_same_flags(tmp_path, capsys, fields,
+                                                              flags):
+    init = tmp_path / "orbit.json"
+    init.write_text(json.dumps(fields))
+    from_json = run_ok(["simulate", "--init-json", str(init), "--samples", "11",
+                        "--out", str(tmp_path / "json")], capsys)
+    from_flags = run_ok(["simulate", *flags, "--samples", "11",
+                         "--out", str(tmp_path / "flags")], capsys)
+    for name in ("simulate.json", "trajectory.csv"):
+        assert (from_json / name).read_bytes() == (from_flags / name).read_bytes()
+
+
 def test_simulate_typed_flag_wins_over_init_json(tmp_path, capsys):
     init = tmp_path / "orbit.json"
     init.write_text(json.dumps({"model": "n3", "n": 3}))
@@ -439,12 +478,14 @@ def test_check_subspace_builtin_five_body(tmp_path, capsys):
     check_manifest(run_dir)
 
 
+_MIRROR_PAIR = {"masses": [1.0, 1.0], "d": 2, "label": "mirror pair",
+                "basis_rows": [[2.0 ** -0.5, 0.0, -2.0 ** -0.5, 0.0],
+                               [0.0, 2.0 ** -0.5, 0.0, -2.0 ** -0.5]]}
+
+
 def test_check_subspace_custom_json(tmp_path, capsys):
-    s = 2.0 ** -0.5
-    spec = {"masses": [1.0, 1.0], "d": 2, "label": "mirror pair",
-            "basis_rows": [[s, 0.0, -s, 0.0], [0.0, s, 0.0, -s]]}
     custom = tmp_path / "subspace.json"
-    custom.write_text(json.dumps(spec))
+    custom.write_text(json.dumps(_MIRROR_PAIR))
     run_dir = run_ok(["check-subspace", "--json", str(custom),
                       "--out", str(tmp_path / "runs")], capsys)
     payload = json.loads((run_dir / "check_subspace.json").read_text())
@@ -496,10 +537,18 @@ def test_simulate_unreadable_init_json_exits_1(tmp_path, capsys, content, messag
 
 
 @pytest.mark.parametrize("spec,message", [
-    ({"model": "n3", "n": "5"}, "--init-json: n must be an integer, not '5'"),
+    ({"model": "n3", "n": "5"}, "--init-json: n: not an integer: '5'"),
     ({"model": "bogus", "masses": [1, 1], "t_end": 1},
-     "--init-json: model must be one of five-body, n3, kepler, full, not 'bogus'"),
-], ids=["n-as-string", "bogus-model"])
+     "--init-json: model: must be one of five-body, n3, kepler, full, got 'bogus'"),
+    ({"model": "n3", "n": 1}, "--init-json: n: need at least 2 polygon bodies, got 1"),
+    ({"model": "kepler", "dof": 5}, "--init-json: dof: must be one of 2, 3, got 5"),
+    ({"model": "kepler", "kappa": -1}, "--init-json: kappa: must be > 0, got -1"),
+    # an unread field is checked too, and a null is no value of any rule
+    ({"model": "five-body", "dof": 5}, "--init-json: dof: must be one of 2, 3, got 5"),
+    ({"model": "n3", "n": None}, "--init-json: n: not an integer: None"),
+    ({"model": "full", "masses": [1, True]}, "--init-json: masses: not a number: True"),
+], ids=["n-as-string", "bogus-model", "n-one", "dof-five", "kappa-negative",
+        "unread-dof-five", "n-null", "masses-bool"])
 def test_simulate_mistyped_init_json_exits_1(tmp_path, capsys, spec, message):
     init = tmp_path / "orbit.json"
     init.write_text(json.dumps(spec))
@@ -524,16 +573,25 @@ def test_check_subspace_missing_json_exits_1(tmp_path, capsys):
     ({"masses": [1, 1], "d": 1, "basis_rows": [[1, 1]]}, "not orthonormal"),
     ({"masses": [1, 1, 1], "d": 1, "basis_rows": [[1, 0]]}, "needs 3 coordinates"),
     ({"masses": [1, 1], "d": None, "basis_rows": [[1, 0]]}, "--json: "),
+    ({**_MIRROR_PAIR, "d": 1.7}, "--json: d: not an integer: 1.7"),
+    ({**_MIRROR_PAIR, "d": "1"}, "--json: d: not an integer: '1'"),
+    ({**_MIRROR_PAIR, "d": True}, "--json: d: not an integer: True"),
+    ({**_MIRROR_PAIR, "masses": [True, 1]}, "--json: masses: not a number: True"),
+    ({**_MIRROR_PAIR, "label": 5}, "--json: label: not a string: 5"),
+    ({**_MIRROR_PAIR, "masses": [1]}, "--json: masses: need at least 2 entries"),
+    ({**_MIRROR_PAIR, "basis_rows": [[1, 0, 0], "x"]}, "--json: basis_rows: not a list: 'x'"),
 ])
 def test_check_subspace_bad_json_exits_1(tmp_path, capsys, spec, message):
     custom = tmp_path / "subspace.json"
     custom.write_text(json.dumps(spec))
-    code = main(["check-subspace", "--json", str(custom), "--out", str(tmp_path / "runs")])
+    out = tmp_path / "runs"
+    code = main(["check-subspace", "--json", str(custom), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("nbodylab check-subspace: error: ")
     assert message in err
     assert err.count("\n") == 1
+    assert [p for p in out.glob("*") if p.is_dir()] == []
 
 
 @pytest.mark.parametrize("argv,spec", [
@@ -548,8 +606,17 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
     if spec is not None:
         (tmp_path / "subspace.json").write_text(json.dumps(spec))
     out = tmp_path / "runs"
-    assert main([*argv, "--out", str(out)]) == 1
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 1
     assert [p for p in out.glob("*") if p.is_dir()] == []
+
+
+# the --init-json files the cases below read
+_USAGE_FILES = {"orbit.json": {"model": "kepler", "t_end": 0},
+                "flat.json": {"model": "full", "masses": [1, 1], "d": 0}}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -568,18 +635,18 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
     (["simulate", "--model", "kepler", "--t-end", "1", "--rtol", "0"],
      "argument --rtol: must be > 0"),
     (["simulate", "--init-json", "orbit.json"],
-     "--init-json: t_end must be a finite number > 0, not 0"),
+     "--init-json: t_end: must be > 0, got 0"),
     (["sweep", "--jobs", "-3", "--cells", "20"], "argument --jobs: need at least 1"),
     (["sweep", "--jobs", "0", "--cells", "20"], "argument --jobs: need at least 1"),
-    (["pairs", "--cells", "1"], "pairs needs --cells >= 2 and --rho-max > 1"),
-    (["pairs", "--rho-max", "1"], "pairs needs --cells >= 2 and --rho-max > 1"),
+    (["pairs", "--cells", "1"], "argument --cells: need at least 2 cells, got 1"),
+    (["pairs", "--rho-max", "1"], "argument --rho-max: must be > 1, got '1'"),
     (["pairs", "--rho-max", "0.5", "--mode", "symmetric"],
-     "pairs needs --cells >= 2 and --rho-max > 1"),
-    (["solve-cc", "--masses", "1"], "--masses needs at least two entries, got 1"),
-    (["solve-cc", "--masses", ",,"], "--masses needs at least two entries, got 0"),
-    (["planar", "--masses", "2"], "--masses needs at least two entries, got 1"),
+     "argument --rho-max: must be > 1, got '0.5'"),
+    (["solve-cc", "--masses", "1"], "argument --masses: need at least 2 entries, got [1.0]"),
+    (["solve-cc", "--masses", ",,"], "argument --masses: need at least 2 entries, got []"),
+    (["planar", "--masses", "2"], "argument --masses: need at least 2 entries, got [2.0]"),
     (["simulate", "--model", "full", "--masses", "1", "--q0", "0,0", "--p0", "0,0",
-      "--t-end", "1"], "--masses needs at least two entries, got 1"),
+      "--t-end", "1"], "argument --masses: need at least 2 entries, got [1.0]"),
     (["solve-cc", "--masses", "1,2,3", "--order", "0,0,1"],
      "--order must be a permutation of 0..2"),
     (["solve-cc", "--masses", "1,2,3", "--order", "0,1"],
@@ -587,22 +654,40 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
     (["planar", "--masses", "1,2,3", "--order", "2,1,3"],
      "--order must be a permutation of 0..2"),
     (["check-subspace", "--builtin", "colinear", "--masses", "1"],
-     "--masses needs at least two entries, got 1"),
+     "argument --masses: need at least 2 entries, got [1.0]"),
     (["check-subspace", "--builtin", "five-body", "--samples", "0"],
      "argument --samples: need at least 1 sample, got 0"),
     (["simulate", "--model", "full", "--masses", "1,1", "--d", "0", "--q0", ",",
       "--p0", ",", "--t-end", "1"], "argument --d: need at least 1 dimension, got 0"),
     (["simulate", "--init-json", "flat.json", "--q0", ",", "--p0", ",", "--t-end", "1"],
-     "--init-json: d must be an integer >= 1, not 0"),
-    (["pairs", "--cells", "100000000"], "pairs takes at most --cells 1000, got 100000000"),
+     "--init-json: d: need at least 1 dimension, got 0"),
+    (["pairs", "--cells", "100000000"],
+     "argument --cells: need at most 1000 cells, got 100000000"),
     (["pairs", "--cells", "1001", "--mode", "symmetric"],
-     "pairs takes at most --cells 1000, got 1001"),
-    (["sweep", "--cells", "100000000"], "sweep takes at most --cells 3000, got 100000000"),
-    (["sweep", "--cells", "3001", "--jobs", "2"], "sweep takes at most --cells 3000, got 3001"),
+     "argument --cells: need at most 1000 cells, got 1001"),
+    (["sweep", "--cells", "100000000"],
+     "argument --cells: need at most 3000 cells, got 100000000"),
+    (["sweep", "--cells", "3001", "--jobs", "2"],
+     "argument --cells: need at most 3000 cells, got 3001"),
     (["simulate", "--model", "kepler", "--t-end", "1", "--rtol", "1e-300"],
      "argument --rtol: must be at least 2.220446049250313e-14 (100 machine epsilons), "
      "got '1e-300'"),
     (["solve-cc", "--masses", "-inf,1"], "argument --masses: non-finite value '-inf'"),
+    (["ek", "--k", "5", "--rho", "1e400"], "argument --rho: non-finite value '1e400'"),
+    (["ek", "--k", "5", "--rho=1e-5000"],
+     "argument --rho: need a numerator and denominator of at most 400 digits"),
+    (["ek", "--k", "5", "--rho", f"1{'0' * 599}1/1{'0' * 600}"],
+     "argument --rho: need a numerator and denominator of at most 400 digits"),
+    (["simulate", "--model", "kepler", "--kappa", "-1", "--t-end", "1"],
+     "argument --kappa: must be > 0, got '-1'"),
+    (["simulate", "--model", "kepler", "--dof", "5", "--t-end", "1"],
+     "argument --dof: must be one of 2, 3, got 5"),
+    (["simulate", "--model", "n3", "--n", "1", "--t-end", "1"],
+     "argument --n: need at least 2 polygon bodies, got 1"),
+    (["check-subspace", "--builtin", "n3", "--n", "1"],
+     "argument --n: need at least 2 polygon bodies, got 1"),
+    (["simulate", "--model", "bogus", "--t-end", "1"],
+     "argument --model: must be one of five-body, n3, kepler, full, got 'bogus'"),
 ], ids=["t-end-inf", "rtol-nan", "kappa-nan", "threshold-nan", "sweep-rho-max-inf",
         "pairs-rho-max-nan", "t-end-zero", "t-end-negative", "rtol-zero",
         "init-json-t-end-zero", "jobs-negative", "jobs-zero", "pairs-one-cell",
@@ -611,7 +696,9 @@ def test_usage_error_leaves_no_run_directory(tmp_path, capsys, monkeypatch, argv
         "order-short", "planar-order-out-of-range", "colinear-one-mass",
         "check-subspace-no-samples", "full-d-zero", "init-json-d-zero", "pairs-cells-1e8",
         "pairs-cells-1001", "sweep-cells-1e8", "sweep-cells-3001", "rtol-below-floor",
-        "masses-minus-inf"])
+        "masses-minus-inf", "rho-beyond-float", "rho-underflow", "rho-long-terms",
+        "kappa-negative", "dof-five", "n3-n-one",
+        "check-subspace-n-one", "model-bogus"])
 def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
                                                         argv, message):
     # every case is rejected before any work: were one to reach the integrator
@@ -621,9 +708,8 @@ def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkey
 
     monkeypatch.setattr(models, "simulate", no_integration)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "orbit.json").write_text(json.dumps({"model": "kepler", "t_end": 0}))
-    (tmp_path / "flat.json").write_text(json.dumps({"model": "full", "masses": [1, 1],
-                                                    "d": 0}))
+    for name, spec in _USAGE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(spec))
     out = tmp_path / "runs"
     try:
         code = main([*argv, "--out", str(out)])
@@ -635,6 +721,29 @@ def test_bad_number_or_body_input_exits_1_with_one_line(tmp_path, capsys, monkey
     assert err.startswith(f"nbodylab {argv[0]}: error: ")
     assert message in err
     assert [p for p in out.glob("*") if p.is_dir()] == []
+
+
+def test_every_typed_input_passes_a_rule_of_the_table():
+    # a flag's argparse type and each --init-json or --json field come from
+    # cli._RULES, and a flag shares its rule with the JSON field of its name
+    rules = {id(rule): name for name, rule in cli._RULES.items()}
+    assert all(isinstance(rule, cli._Rule) for rule in cli._RULES.values())
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+    used = set()
+    for command, parser in sub.items():
+        for action in parser._actions:
+            if action.type is not None:
+                assert id(action.type) in rules, (command, action.dest)
+                used.add(rules[id(action.type)])
+    for command, fields in (("simulate", cli._SIMULATE_FIELDS),
+                            ("check-subspace", cli._SUBSPACE_FIELDS)):
+        flags = {action.dest: action.type for action in sub[command]._actions}
+        for field in fields:
+            assert field in cli._RULES, (command, field)
+            assert flags.get(field, cli._RULES[field]) is cli._RULES[field], (command, field)
+            used.add(field)
+    assert used == set(cli._RULES)
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

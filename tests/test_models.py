@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nbodylab.errors import CollisionError, StepFailureError
+from nbodylab.errors import CollisionError, SamplingStalledError, StepFailureError
 from nbodylab.models import (
     FIVE_BODY_KAPPA,
     FIVE_BODY_MASSES,
@@ -233,6 +233,12 @@ def test_five_body_subspace_leakage_is_machine_small():
 def test_n3_subspace_leakage_is_machine_small(n):
     report = check_invariant_subspace(n3_subspace(n))
     assert report["max_leakage"] <= 1e-12
+
+
+def test_stalled_subspace_sampling_raises_a_typed_error():
+    # 80 polygon bodies almost never sit 0.1 apart at a random point of the span
+    with pytest.raises(SamplingStalledError, match="101 draws rejected for 0 of 1 samples"):
+        check_invariant_subspace(n3_subspace(80), samples=1)
 
 
 def test_colinear_subspace_leakage_is_exactly_zero():
